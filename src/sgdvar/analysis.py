@@ -7,6 +7,7 @@ the package carries no statistics dependency.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -197,12 +198,14 @@ def _reg_lower_gamma(a: float, x: float) -> float:
     return max(0.0, 1.0 - math.exp(log_scale) * h)
 
 
+@functools.lru_cache(maxsize=256)
 def chi_square_quantile(level: float, dof: int) -> float:
     """Quantile of the chi-square distribution with dof degrees of freedom.
 
     Safeguarded Newton iteration on the regularized incomplete gamma CDF,
     started from the Wilson-Hilferty normal approximation; absolute error
-    well below 1e-6 over the tested range.
+    well below 1e-6 over the tested range. Memoized on (level, dof), since
+    every query of a stream asks for the same quantile.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
@@ -235,6 +238,29 @@ def chi_square_quantile(level: float, dof: int) -> float:
     return x
 
 
+_SOLVE_BLOCK = 25
+
+
+def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lower @ y = rhs for a lower-triangular, nonsingular factor.
+
+    numpy has no triangular solver, and np.linalg.solve would run a full
+    LU on the factor. Blocked substitution instead: each diagonal block
+    of at most _SOLVE_BLOCK rows is solved by a small dense solve after
+    the rows above it are subtracted with one matrix-vector product.
+    """
+    d = rhs.shape[0]
+    if d <= _SOLVE_BLOCK:
+        return np.linalg.solve(lower, rhs)
+    y = rhs.copy()
+    for lo in range(0, d, _SOLVE_BLOCK):
+        hi = min(lo + _SOLVE_BLOCK, d)
+        if lo:
+            y[lo:hi] -= lower[lo:hi, :lo] @ y[:lo]
+        y[lo:hi] = np.linalg.solve(lower[lo:hi, lo:hi], y[lo:hi])
+    return y
+
+
 @dataclass
 class ConfidenceBall:
     """Asymptotic confidence region for the true parameter.
@@ -259,7 +285,7 @@ class ConfidenceBall:
         diff = self.center - np.asarray(point, dtype=float)
         if self._chol is None:
             raise ValueError("spherical ball does not define the quadratic form")
-        y = np.linalg.solve(self._chol, diff)
+        y = _forward_substitution(self._chol, diff)
         return self._n * float(y @ y)
 
     def test(self, point) -> bool:
@@ -277,15 +303,15 @@ def confidence_ball(state: EstimatorState, level: float = 0.95,
     ridge defaults to 1e-8 * trace(Sigma)/d and must be positive when the
     covariance estimate is still identically zero.
     """
-    sigma = state.covariance
-    d = sigma.shape[0]
+    regularized = state.covariance  # a fresh array, built once per query
+    d = regularized.shape[0]
     n = state.n
-    trace = float(np.trace(sigma))
+    trace = float(regularized.trace())
     if ridge is None:
         ridge = 1e-8 * trace / d
     if trace == 0.0 and ridge == 0.0:
         raise ValueError("covariance estimate is zero; a positive ridge is required")
-    regularized = sigma + ridge * np.eye(d)
+    regularized.flat[::d + 1] += ridge
     quantile = chi_square_quantile(level, d)
     if spherical:
         lam_max = float(np.linalg.eigvalsh(regularized)[-1])

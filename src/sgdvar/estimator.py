@@ -5,12 +5,28 @@ average, and a one-pass estimate of the asymptotic covariance of the
 average, all in O(d^2) time and memory per step. Also provides the
 split-and-average merge for parallel substreams and a versioned binary
 snapshot format for checkpoint/resume.
+
+The covariance estimate is held in deferred form. The shrink factors of
+the recursion
+
+    Sigma_{n+1} = (n/(n+1))^(1-delta) Sigma_n + (1-delta)(n+1)^-(1+s) W W'
+
+telescope, so A_n = n^(1-delta) Sigma_n grows by pure rank-one terms,
+
+    A_{n+1} = A_n + (1-delta)(n+1)^-(delta+s) W_{n+1} W_{n+1}'.
+
+Each step writes the row sqrt((1-delta)(n+1)^-(delta+s)) W_{n+1} into a
+(FOLD_ROWS, d) buffer. Whenever n reaches a multiple of FOLD_ROWS the
+buffered rows R are folded into A with one R'R product, which numpy runs
+as a BLAS syrk, so A stays exactly symmetric. Sigma_n is computed when
+read and a read never changes A, so the state and its snapshots depend
+only on the observations, not on when anyone looked.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +34,16 @@ from . import schedule
 from .schedule import StepParams
 
 SNAPSHOT_MAGIC = b"SVAR"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+FOLD_ROWS = 20
 _HEADER = struct.Struct("<4sBIQ5d")
+_HEADER_V2 = struct.Struct("<QQI")  # count, base, pending rows; follows _HEADER
 
 
 class NumericError(ArithmeticError):
     """A non-finite value reached the estimator."""
 
 
-@dataclass
 class EstimatorState:
     """Full per-stream online state.
 
@@ -35,14 +52,45 @@ class EstimatorState:
     exponentially reweighted sum of (iterate - average) residuals in its
     stabilized scaled form, so no field ever grows beyond the scale of
     the iterates themselves.
+
+    covariance is Sigma_n, computed on each read from the deferred form
+    Sigma = (base/count)^(1-delta) (A + R'R): A holds the folded rows, R
+    the pending ones, count the iterate index the form has reached and
+    base the index where it was anchored (1 for a fresh state, so that A
+    is n^(1-delta) Sigma_n). Assigning covariance re-anchors the form at
+    the current n, and a read right after returns the assigned values
+    exactly. count is kept apart from n because callers may write n.
     """
 
-    n: int
-    iterate: np.ndarray
-    average: np.ndarray
-    residual_acc: np.ndarray
-    covariance: np.ndarray
-    params: StepParams
+    __slots__ = ("n", "iterate", "average", "residual_acc", "params",
+                 "_a", "_rows", "_pending", "_count", "_base")
+
+    def __init__(self, n: int, iterate: np.ndarray, average: np.ndarray,
+                 residual_acc: np.ndarray, covariance, params: StepParams):
+        self.n = n
+        self.iterate = iterate
+        self.average = average
+        self.residual_acc = residual_acc
+        self.params = params
+        self._rows = np.zeros((FOLD_ROWS, iterate.shape[0]))
+        self.covariance = covariance
+
+    @property
+    def covariance(self) -> np.ndarray:
+        scale = (self._base / self._count) ** (1.0 - self.params.delta)
+        if not self._pending:
+            return scale * self._a
+        rows = self._rows[:self._pending]
+        sigma = rows.T @ rows
+        sigma += self._a
+        sigma *= scale
+        return sigma
+
+    @covariance.setter
+    def covariance(self, value) -> None:
+        self._a = np.array(value, dtype=float)
+        self._pending = 0
+        self._count = self._base = self.n
 
 
 def init(m_init, params: StepParams) -> EstimatorState:
@@ -70,10 +118,15 @@ def step(state: EstimatorState, gradient) -> EstimatorState:
     """Advance the state in place by one observation and return it.
 
     gradient is the stochastic gradient evaluated at the current iterate.
-    The covariance update shrinks the previous estimate by (n/(n+1))^(1-delta)
-    and adds the outer product of the reweighted residual accumulator with
-    gain (1-delta) / (n+1)^(1+s); this is exactly the batch reweighting of
-    all past residuals folded into a rank-1 recursion.
+    The covariance estimate shrinks the previous one by (n/(n+1))^(1-delta)
+    and adds the outer product of the reweighted residual accumulator W
+    with gain (1-delta) / (n+1)^(1+s); this is exactly the batch
+    reweighting of all past residuals folded into a rank-1 recursion.
+    The step carries it out in deferred form: it writes one scaled row
+    of W into the pending buffer, and when n+1 is a multiple of FOLD_ROWS
+    it folds the buffer into A (see the module docstring). If n was
+    written from outside since the last step, the form is first
+    re-anchored at the written n, as assigning covariance does.
     """
     grad = np.asarray(gradient, dtype=float)
     if grad.shape != state.iterate.shape:
@@ -85,18 +138,27 @@ def step(state: EstimatorState, gradient) -> EstimatorState:
 
     n = state.n
     params = state.params
+    if state._count != n:  # n was written from outside: re-anchor there
+        state.covariance = state.covariance
     state.iterate -= schedule.step_size(n, params) * grad
     state.average += (state.iterate - state.average) / (n + 1)
 
     state.residual_acc *= schedule.decay_ratio(n, params)
     state.residual_acc += state.iterate - state.average
 
-    shrink = (n / (n + 1.0)) ** (1.0 - params.delta)
-    gain = (1.0 - params.delta) * float(n + 1) ** -(1.0 + params.s)
-    state.covariance *= shrink
-    state.covariance += gain * np.outer(state.residual_acc, state.residual_acc)
-
-    state.n = n + 1
+    gain = (1.0 - params.delta) * float(n + 1) ** -(params.delta + params.s)
+    if state._base != 1:
+        gain *= float(state._base) ** (params.delta - 1.0)
+    pending = state._pending
+    np.multiply(state.residual_acc, math.sqrt(gain), out=state._rows[pending])
+    pending += 1
+    n += 1
+    if n % FOLD_ROWS == 0:
+        rows = state._rows[:pending]
+        state._a += rows.T @ rows
+        pending = 0
+    state._pending = pending
+    state._count = state.n = n
     return state
 
 
@@ -135,41 +197,77 @@ def merge(states, weights=None) -> np.ndarray:
 def snapshot(state: EstimatorState) -> bytes:
     """Serialize the state losslessly to bytes.
 
-    Layout: magic, version byte, dimension (u32), n (u64), the five
-    schedule parameters, then iterate, average, residual accumulator and
-    covariance as raw IEEE-754 doubles, all little-endian.
+    Layout (version 2), all little-endian: magic, version byte,
+    dimension d (u32), n (u64), the five schedule parameters (f64), the
+    deferred form's count and base (u64 each) and pending row count k
+    (u32), then iterate, average, residual accumulator, A (d x d) and the
+    k pending rows (k x d) as raw IEEE-754 doubles.
     """
     p = state.params
     d = state.iterate.shape[0]
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, d, state.n,
         p.c_gamma, p.alpha, p.s, p.delta, p.mu,
-    )
+    ) + _HEADER_V2.pack(state._count, state._base, state._pending)
     body = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in (state.iterate, state.average, state.residual_acc, state.covariance)
+        for arr in (state.iterate, state.average, state.residual_acc,
+                    state._a, state._rows[:state._pending])
     )
     return header + body
 
 
 def restore(data: bytes) -> EstimatorState:
-    """Rebuild a state from snapshot bytes; exact inverse of snapshot."""
+    """Rebuild a state from snapshot bytes; exact inverse of snapshot.
+
+    Version 1 blobs (n, iterate, average, residual accumulator and Sigma)
+    are still read; their Sigma becomes the anchor of the deferred form.
+    Raises ValueError for a blob that does not hold a valid state: bad
+    framing, inadmissible parameters, non-finite values, an asymmetric
+    Sigma or A, or counts that disagree with each other or with the
+    number of pending rows.
+    """
     if len(data) < _HEADER.size:
         raise ValueError("snapshot truncated: header incomplete")
     magic, version, d, n, c_gamma, alpha, s, delta, mu = _HEADER.unpack_from(data)
     if magic != SNAPSHOT_MAGIC:
         raise ValueError("not a snapshot: bad magic bytes")
-    if version != SNAPSHOT_VERSION:
+    if version not in (1, 2):
         raise ValueError(f"unsupported snapshot version {version}")
-    expected = _HEADER.size + 8 * (3 * d + d * d)
+    offset = _HEADER.size
+    count = base = n
+    pending = 0
+    if version == 2:
+        if len(data) < offset + _HEADER_V2.size:
+            raise ValueError("snapshot truncated: header incomplete")
+        count, base, pending = _HEADER_V2.unpack_from(data, offset)
+        offset += _HEADER_V2.size
+    expected = offset + 8 * (3 * d + d * d + pending * d)
     if len(data) != expected:
         raise ValueError(f"snapshot has {len(data)} bytes, expected {expected}")
-    flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).astype(float)
-    return EstimatorState(
-        n=n,
+    params = schedule.validate(StepParams(c_gamma, alpha, s, delta, mu))
+    if not 1 <= base <= count or n < 1:
+        raise ValueError(f"snapshot counts are inconsistent: n={n}, count={count}, base={base}")
+    # rows pend since the later of the anchor and the last fold, so fewer than FOLD_ROWS
+    implied = count - max(base, count - count % FOLD_ROWS)
+    if pending != implied:
+        raise ValueError(f"snapshot holds {pending} pending rows, its counts imply {implied}")
+    flat = np.frombuffer(data, dtype="<f8", offset=offset).astype(float)
+    if not np.isfinite(flat).all():
+        raise ValueError("snapshot holds non-finite values")
+    matrix = flat[3 * d:3 * d + d * d].reshape(d, d)
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError("snapshot covariance is not symmetric")
+    state = EstimatorState(
+        n=count,
         iterate=flat[:d].copy(),
         average=flat[d:2 * d].copy(),
         residual_acc=flat[2 * d:3 * d].copy(),
-        covariance=flat[3 * d:].reshape(d, d).copy(),
-        params=StepParams(c_gamma, alpha, s, delta, mu),
+        covariance=matrix,
+        params=params,
     )
+    state._base = base
+    state._pending = pending
+    state._rows[:pending] = flat[3 * d + d * d:].reshape(pending, d)
+    state.n = n
+    return state
