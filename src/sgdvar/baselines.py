@@ -55,22 +55,8 @@ def batch_sigma(traj: Trajectory, params: StepParams) -> np.ndarray:
     exponentials of the k-th term in log-domain before exponentiating.
     """
     schedule.validate(params)
-    n, d = _check(traj)
-    diffs = traj.iterates - traj.averages
-    lw = np.array([schedule.log_weight(k, params) for k in range(1, n + 1)])
-    one_minus_s = 1.0 - params.s
-    power = params.delta + params.s + params.mu
-    total = np.zeros((d, d))
-    for k in range(1, n + 1):
-        rel = np.exp(lw[:k] - lw[k - 1])
-        inner = rel @ diffs[:k]
-        log_pref = (
-            -power * math.log(k)
-            - float(k) ** one_minus_s / one_minus_s
-            + 2.0 * lw[k - 1]
-        )
-        total += math.exp(log_pref) * np.outer(inner, inner)
-    return (1.0 - params.delta) * float(n) ** -(1.0 - params.delta) * total
+    _check(traj)
+    return _reweighted_sum(traj.iterates - traj.averages, params)
 
 
 def nonrecursive_sigma(traj: Trajectory, params: StepParams) -> np.ndarray:
@@ -80,8 +66,13 @@ def nonrecursive_sigma(traj: Trajectory, params: StepParams) -> np.ndarray:
     instead of the running average alive at time j.
     """
     schedule.validate(params)
-    n, d = _check(traj)
-    diffs = traj.iterates - traj.averages[-1]
+    _check(traj)
+    return _reweighted_sum(traj.iterates - traj.averages[-1], params)
+
+
+def _reweighted_sum(diffs: np.ndarray, params: StepParams) -> np.ndarray:
+    """The reweighted double sum of batch_sigma over the residual rows diffs."""
+    n, d = diffs.shape
     lw = np.array([schedule.log_weight(k, params) for k in range(1, n + 1)])
     one_minus_s = 1.0 - params.s
     power = params.delta + params.s + params.mu
@@ -108,25 +99,23 @@ def pelletier_sigma(traj: Trajectory) -> np.ndarray:
     return 0.5 * (scatter + scatter.T)
 
 
-def plugin_sandwich(objective, data, h_ref, ridge: float | None = None) -> np.ndarray:
+def plugin_sandwich(gradient, hessian, data, h_ref, ridge: float | None = None) -> np.ndarray:
     """Naive sandwich estimate from empirical Hessian and gradient covariance.
 
+    gradient(obs, h) and hessian(obs, h) are the per-sample oracles.
     Averages the per-sample Hessian and gradient outer products at h_ref,
     then applies the inverse Hessian on both sides through symmetric
     solves (no explicit inverse). ridge defaults to 1e-8 * trace / d; pass
     ridge=0 to fail on a singular Hessian instead.
     """
-    hessian = getattr(objective, "hessian", None)
-    if hessian is None:
-        raise TypeError("objective does not expose a per-sample hessian")
     h_ref = np.asarray(h_ref, dtype=float)
-    d = objective.dimension
+    d = h_ref.shape[0]
     gamma_hat = np.zeros((d, d))
     grad_cov = np.zeros((d, d))
     count = 0
     for obs in data:
         gamma_hat += hessian(obs, h_ref)
-        grad = objective.gradient(obs, h_ref)
+        grad = gradient(obs, h_ref)
         grad_cov += np.outer(grad, grad)
         count += 1
     if count == 0:

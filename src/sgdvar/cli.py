@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Averaged SGD with streaming asymptotic-covariance estimation.",
     )
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--problem", choices=PROBLEMS)
+    parser.add_argument("--problem", choices=tuple(PROBLEMS))
     parser.add_argument("--dim", type=int)
     parser.add_argument("--n-total", type=int)
     parser.add_argument("--c-gamma", type=float)

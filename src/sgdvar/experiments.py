@@ -1,10 +1,13 @@
-"""Experiment runner: replications, parallel splits, checkpoints, output files.
+"""Experiment runner: one problem table, one runner loop, output files.
 
-Every replication r and split p draws from an independent substream
-derived from (seed, r, p), so runs are bit-reproducible and records do
-not depend on execution order. Indices follow the estimator convention:
-a checkpoint at n covers n iterates in total across splits, i.e. each of
-the p substreams has reached iterate index n/p.
+PROBLEMS defines each problem once: its streams, gradient and known
+truths. run() opens one stream per split and replication and steps the
+splits in lock step. Synthetic split p of replication r draws from its own
+substream of (seed, r, p), so runs are bit-reproducible and records do
+not depend on execution order; the splits of a CSV run share the file's
+row iterator, which deals row i to split i mod splits. Indices follow the
+estimator convention: a checkpoint at n covers n iterates in total across
+splits, i.e. each of the p substreams has reached iterate index n/p.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import statistics
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +26,6 @@ from . import __version__, analysis, estimator, problems, schedule
 from .analysis import KsResult
 from .schedule import StepParams
 
-PROBLEMS = ("sphere_median", "geometric_quantile", "logistic_synthetic", "logistic_csv")
 FEATURE_LAWS = ("standard_normal", "uniform_cube")
 
 # p-value cutoff used for the KS pass fractions reported in summaries.
@@ -102,10 +105,16 @@ def default_checkpoints(n_total: int, splits: int, points_per_decade: int) -> li
     return sorted(grid)
 
 
+def _standard_schedule(params: StepParams) -> bool:
+    """c_gamma = 1 and alpha = 2/3, where the sphere's normal limit is known."""
+    return abs(params.c_gamma - 1.0) <= 1e-12 and abs(params.alpha - 2.0 / 3.0) <= 1e-12
+
+
 def validate_config(config: RunConfig) -> RunConfig:
     """Check cross-field consistency and fill derived defaults in place."""
-    if config.problem not in PROBLEMS:
-        raise ConfigError(f"unknown problem {config.problem!r}; choose from {PROBLEMS}")
+    problem = PROBLEMS.get(config.problem)
+    if problem is None:
+        raise ConfigError(f"unknown problem {config.problem!r}; choose from {tuple(PROBLEMS)}")
     schedule.validate(config.params)
     if config.n_total < 2:
         raise ConfigError(f"n_total must be at least 2, got {config.n_total}")
@@ -126,45 +135,16 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.output_format not in ("jsonl", "csv"):
         raise ConfigError(f"unknown output format {config.output_format!r}")
 
-    if config.problem == "geometric_quantile":
-        if config.direction is None:
-            raise ConfigError("geometric_quantile requires a direction")
-        config.direction = problems.quantile_direction(config.direction)
-    elif config.direction is not None:
-        raise ConfigError("direction is only valid for geometric_quantile")
-
-    if config.problem == "logistic_csv":
-        if config.input_path is None:
-            raise ConfigError("logistic_csv requires input_path")
-        if config.replications != 1:
-            raise ConfigError("logistic_csv runs a fixed file; replications must be 1")
-    elif config.input_path is not None:
-        raise ConfigError("input_path is only valid for logistic_csv")
-
-    if config.problem == "logistic_synthetic":
-        if config.theta_star is None:
-            raise ConfigError("logistic_synthetic requires theta_star")
-        config.theta_star = np.asarray(config.theta_star, dtype=float).reshape(-1)
-        if config.dim is None:
-            config.dim = config.theta_star.shape[0]
-        elif config.dim != config.theta_star.shape[0]:
-            raise ConfigError("dim does not match the length of theta_star")
-        if config.feature_law not in FEATURE_LAWS:
-            raise ConfigError(f"unknown feature law {config.feature_law!r}")
-    elif config.theta_star is not None:
-        raise ConfigError("theta_star is only valid for logistic_synthetic")
-
-    if config.problem in ("sphere_median", "geometric_quantile"):
-        if config.dim is None or config.dim < 3:
-            raise ConfigError(f"{config.problem} requires dim >= 3")
-        if config.direction is not None and config.direction.shape[0] != config.dim:
-            raise ConfigError("direction length does not match dim")
+    for name in ("direction", "theta_star", "input_path"):
+        if (getattr(config, name) is None) == (name == problem.field):
+            verb = "requires" if name == problem.field else "does not take"
+            raise ConfigError(f"{config.problem} {verb} {name}")
+    problem.check(config)
 
     if config.residuals:
-        if config.problem != "sphere_median" or config.splits != 1:
+        if not problem.ks or config.splits != 1:
             raise ConfigError("residual dumps require sphere_median with splits=1")
-        p = config.params
-        if abs(p.c_gamma - 1.0) > 1e-12 or abs(p.alpha - 2.0 / 3.0) > 1e-12:
+        if not _standard_schedule(config.params):
             raise ConfigError("residual dumps require c_gamma=1 and alpha=2/3")
 
     if config.checkpoints is None:
@@ -182,67 +162,167 @@ def validate_config(config: RunConfig) -> RunConfig:
             raise ConfigError("checkpoints must not be empty")
         config.checkpoints = cps
 
-    if config.m_init is not None and config.dim is not None:
+    if config.m_init is not None:
         config.m_init = np.asarray(config.m_init, dtype=float).reshape(-1)
-        if config.m_init.shape[0] != config.dim:
+        if config.dim is not None and config.m_init.shape[0] != config.dim:
             raise ConfigError("m_init length does not match dim")
     return config
 
 
-def _gradient_fn(config: RunConfig):
-    if config.problem == "sphere_median":
-        return lambda obs, h: problems.quantile_gradient(obs, h, None)
-    if config.problem == "geometric_quantile":
-        direction = config.direction
-        return lambda obs, h: problems.quantile_gradient(obs, h, direction)
+def _check_sphere(config: RunConfig) -> None:
+    if config.dim is None or config.dim < 3:
+        raise ConfigError(f"{config.problem} requires dim >= 3")
+
+
+def _check_quantile(config: RunConfig) -> None:
+    try:
+        config.direction = problems.quantile_direction(config.direction)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    _check_sphere(config)
+    if config.direction.shape[0] != config.dim:
+        raise ConfigError("direction length does not match dim")
+
+
+def _check_logistic(config: RunConfig) -> None:
+    config.theta_star = np.asarray(config.theta_star, dtype=float).reshape(-1)
+    if not np.isfinite(config.theta_star).all():
+        raise ConfigError("theta_star contains non-finite values")
+    if config.dim is None:
+        config.dim = config.theta_star.shape[0]
+    elif config.dim != config.theta_star.shape[0]:
+        raise ConfigError("dim does not match the length of theta_star")
+    if config.feature_law not in FEATURE_LAWS:
+        raise ConfigError(f"unknown feature law {config.feature_law!r}")
+
+
+def _check_csv(config: RunConfig) -> None:
+    if config.replications != 1:
+        raise ConfigError("logistic_csv runs a fixed file; replications must be 1")
+
+
+def _per_split(sampler):
+    """open() of a synthetic problem: sampler(config, (replication, p)) for split p."""
+    return lambda config, rep: [sampler(config, (rep, p)) for p in range(config.splits)]
+
+
+_open_spheres = _per_split(lambda c, path: problems.sphere_sampler(c.dim, c.seed, path))
+
+
+def _input_ended(config: RunConfig, rows: int) -> problems.DataError:
+    needed = config.n_total - config.splits  # observations for all splits
+    return problems.DataError(
+        f"input ended after {rows} rows; {needed} required for n_total={config.n_total}"
+    )
+
+
+def _open_csv(config: RunConfig, replication: int) -> list:
+    """One row iterator shared by every split; the first row fixes the dimension."""
+    try:
+        rows = problems.csv_stream(
+            config.input_path,
+            label_column=config.label_column,
+            has_header=config.has_header,
+            remap_zero_one=config.remap_zero_one,
+        )
+        first = next(rows, None)
+    except OSError as exc:
+        raise problems.DataError(f"cannot read {config.input_path}: {exc}") from exc
+    if first is None:
+        raise _input_ended(config, 0)
+    d = first.features.shape[0]
+    if config.dim is None:
+        config.dim = d
+    elif config.dim != d:
+        raise problems.DataError(f"file has {d} features but config.dim={config.dim}")
+    if config.m_init is not None and config.m_init.shape[0] != d:
+        raise ConfigError("m_init length does not match the file dimension")
+    return [itertools.chain([first], rows)] * config.splits
+
+
+def _quantile_gradient(config: RunConfig):
+    direction = config.direction  # None for the median
+    return lambda obs, h: problems.quantile_gradient(obs, h, direction)
+
+
+def _logistic_gradient(config: RunConfig):
+    # read from the module per run, so a wrapper installed there is called
     return problems.logistic_gradient
 
 
-def _make_streams(config: RunConfig, replication: int):
-    if config.problem in ("sphere_median", "geometric_quantile"):
-        return [
-            problems.sphere_sampler(config.dim, config.seed, (replication, p))
-            for p in range(config.splits)
-        ]
-    if config.problem == "logistic_synthetic":
-        return [
-            problems.logistic_sampler(
-                config.theta_star, config.feature_law, config.seed, (replication, p)
-            )
-            for p in range(config.splits)
-        ]
-    raise AssertionError("csv streams are handled separately")
+@dataclass(frozen=True)
+class Problem:
+    """One entry of PROBLEMS: field is the RunConfig field only this problem takes.
+
+    open(config, replication) gives one observation iterator per split,
+    gradient(config) the oracle g(obs, h), truths(config) the parameter and
+    covariance truths (None where unknown). The flags add KS tests and residual
+    dumps, coverage hits, and the final average and covariance to the outputs.
+    """
+
+    field: str | None
+    check: Callable[[RunConfig], None]
+    open: Callable[[RunConfig, int], list]
+    gradient: Callable[[RunConfig], Callable]
+    truths: Callable[[RunConfig], tuple] = lambda config: (None, None)
+    ks: bool = False
+    coverage: bool = False
+    final_state: bool = False
+
+
+PROBLEMS = {
+    "sphere_median": Problem(
+        None, _check_sphere, _open_spheres, _quantile_gradient,
+        truths=lambda c: (
+            np.zeros(c.dim), analysis.sphere_references(c.dim).average_covariance),
+        ks=True,
+    ),
+    "geometric_quantile": Problem(
+        "direction", _check_quantile, _open_spheres, _quantile_gradient,
+    ),
+    "logistic_synthetic": Problem(
+        "theta_star", _check_logistic,
+        _per_split(lambda c, path: problems.logistic_sampler(
+            c.theta_star, c.feature_law, c.seed, path)),
+        _logistic_gradient, truths=lambda c: (c.theta_star, None), coverage=True,
+    ),
+    "logistic_csv": Problem(
+        "input_path", _check_csv, _open_csv, _logistic_gradient, final_state=True,
+    ),
+}
+
+
+def _advance(config: RunConfig, states, streams, target: int, gradient) -> int:
+    """Step every split to iterate index target; returns the skipped count.
+
+    Each round gives one observation to each split in split order, so splits
+    sharing one iterator get item i dealt to split i mod splits. A split skips
+    a singular observation and takes the next one from its stream in its turn.
+    """
+    skipped = 0
+    pairs = list(zip(states, streams))
+    for _ in range(target - states[0].n):
+        for state, stream in pairs:
+            for obs in stream:
+                try:
+                    grad = gradient(obs, state.iterate)
+                except problems.Singularity:
+                    skipped += 1
+                    continue
+                estimator.step(state, grad)
+                break
+            else:
+                raise _input_ended(config, sum(st.n - 1 for st in states))
+    return skipped
 
 
 def run(config: RunConfig) -> RunResult:
     """Execute the configured experiment and collect records and summaries."""
     validate_config(config)
-    if config.problem == "logistic_csv":
-        return _run_csv(config)
-    return _run_synthetic(config)
-
-
-def _truths(config: RunConfig):
-    """(parameter truth, covariance truth) where known, else Nones."""
-    if config.problem == "sphere_median":
-        refs = analysis.sphere_references(config.dim)
-        return np.zeros(config.dim), refs.average_covariance
-    if config.problem == "logistic_synthetic":
-        return config.theta_star, None
-    return None, None
-
-
-def _run_synthetic(config: RunConfig) -> RunResult:
-    d = config.dim
-    m_init = config.m_init if config.m_init is not None else np.zeros(d)
-    gradient = _gradient_fn(config)
-    truth_point, truth_sigma = _truths(config)
-    ks_ready = (
-        config.problem == "sphere_median"
-        and config.splits == 1
-        and abs(config.params.c_gamma - 1.0) <= 1e-12
-        and abs(config.params.alpha - 2.0 / 3.0) <= 1e-12
-    )
+    problem = PROBLEMS[config.problem]
+    gradient = problem.gradient(config)
+    truth_point, truth_sigma = problem.truths(config)
+    ks_ready = problem.ks and config.splits == 1 and _standard_schedule(config.params)
     records = []
     residual_rows: dict[int, list] = {cp: [] for cp in config.checkpoints}
     skipped = 0
@@ -250,20 +330,13 @@ def _run_synthetic(config: RunConfig) -> RunResult:
     t_start = time.perf_counter()
     for rep in range(config.replications):
         rep_t0 = time.perf_counter()
-        streams = _make_streams(config, rep)
+        streams = problem.open(config, rep)
+        d = config.dim
+        m_init = config.m_init if config.m_init is not None else np.zeros(d)
         states = [estimator.init(m_init, config.params) for _ in range(config.splits)]
         seg_t0 = rep_t0
         for cp in config.checkpoints:
-            target = cp // config.splits
-            for state, stream in zip(states, streams):
-                while state.n < target:
-                    obs = next(stream)
-                    try:
-                        grad = gradient(obs, state.iterate)
-                    except problems.Singularity:
-                        skipped += 1
-                        continue
-                    estimator.step(state, grad)
+            skipped += _advance(config, states, streams, cp // config.splits, gradient)
             merged = estimator.merge(states)
             avg = np.mean([st.average for st in states], axis=0)
             frob_err_sq = None
@@ -287,7 +360,7 @@ def _run_synthetic(config: RunConfig) -> RunResult:
                     residual_rows[cp].extend(
                         (rep, i, float(q_rm[i]), float(q_avg[i])) for i in range(d)
                     )
-            if config.problem == "logistic_synthetic":
+            if problem.coverage:
                 # pooled view: the mean of split averages obeys the same
                 # limit law as one full-stream average at the pooled count cp
                 pooled = estimator.EstimatorState(
@@ -313,84 +386,17 @@ def _run_synthetic(config: RunConfig) -> RunResult:
             seg_t0 = now
         per_rep_ms.append((time.perf_counter() - rep_t0) * 1e3)
     total_ms = (time.perf_counter() - t_start) * 1e3
+    summary = _summarize(records, config)
+    if problem.final_state:
+        summary["final_average"] = [float(v) for v in avg]
+        summary["final_covariance"] = [[float(v) for v in row] for row in merged]
     return RunResult(
         records=records,
-        summary=_summarize(records, config),
+        summary=summary,
         residuals=residual_rows if config.residuals else {},
         skipped_singularities=skipped,
         total_wall_ms=total_ms,
         per_replication_ms=per_rep_ms,
-    )
-
-
-def _run_csv(config: RunConfig) -> RunResult:
-    try:
-        rows = problems.csv_stream(
-            config.input_path,
-            label_column=config.label_column,
-            has_header=config.has_header,
-            remap_zero_one=config.remap_zero_one,
-        )
-        first = next(rows, None)
-    except OSError as exc:
-        raise problems.DataError(f"cannot read {config.input_path}: {exc}") from exc
-    needed = config.n_total - config.splits  # observations for all splits
-    if first is None:
-        raise problems.DataError(
-            f"input ended after 0 rows; {needed} required for n_total={config.n_total}"
-        )
-    d = first.features.shape[0]
-    if config.dim is None:
-        config.dim = d
-    elif config.dim != d:
-        raise problems.DataError(f"file has {d} features but config.dim={config.dim}")
-    if config.m_init is not None and config.m_init.shape[0] != d:
-        raise ConfigError("m_init length does not match the file dimension")
-    rows = itertools.chain([first], rows)
-    m_init = config.m_init if config.m_init is not None else np.zeros(d)
-
-    records = []
-    t_start = time.perf_counter()
-    states = [estimator.init(m_init, config.params) for _ in range(config.splits)]
-    consumed = 0
-    seg_t0 = t_start
-    for cp in config.checkpoints:
-        target_rows = config.splits * (cp // config.splits - 1)
-        while consumed < target_rows:
-            try:
-                obs = next(rows)
-            except StopIteration:
-                raise problems.DataError(
-                    f"input ended after {consumed} rows; {needed} required "
-                    f"for n_total={config.n_total}"
-                ) from None
-            state = states[consumed % config.splits]
-            estimator.step(state, problems.logistic_gradient(obs, state.iterate))
-            consumed += 1
-        now = time.perf_counter()
-        records.append(MetricsRecord(
-            n=cp,
-            replication=0,
-            frob_err_sq=None,
-            param_err_sq=None,
-            ks_rm=None,
-            ks_avg=None,
-            coverage_hit=None,
-            wall_time_ms=(now - seg_t0) * 1e3,
-        ))
-        seg_t0 = now
-    total_ms = (time.perf_counter() - t_start) * 1e3
-    summary = _summarize(records, config)
-    merged = estimator.merge(states)
-    summary["final_average"] = [float(v) for v in np.mean([s.average for s in states], axis=0)]
-    summary["final_covariance"] = [[float(v) for v in row] for row in merged]
-    return RunResult(
-        records=records,
-        summary=summary,
-        residuals={},
-        skipped_singularities=0,
-        total_wall_ms=total_ms,
-        per_replication_ms=[total_ms],
     )
 
 

@@ -1,4 +1,4 @@
-"""Objectives, gradient oracles, and seeded data sources.
+"""Gradient and Hessian oracles, and seeded data sources.
 
 Random streams are built on the counter-based Philox generator with
 normal variates drawn by a fixed-consumption Box-Muller transform, so a
@@ -91,30 +91,6 @@ def quantile_gradient(obs: Observation, h, v=None) -> np.ndarray:
     if v is not None:
         grad = grad - v
     return grad
-
-
-class LogisticObjective:
-    """Gradient/Hessian oracle pair for logistic regression."""
-
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-
-    def gradient(self, obs: Observation, h) -> np.ndarray:
-        return logistic_gradient(obs, h)
-
-    def hessian(self, obs: Observation, h) -> np.ndarray:
-        return logistic_hessian(obs, h)
-
-
-class QuantileObjective:
-    """Gradient oracle for geometric quantiles (median when direction is None)."""
-
-    def __init__(self, dimension: int, direction=None):
-        self.dimension = dimension
-        self.direction = None if direction is None else quantile_direction(direction)
-
-    def gradient(self, obs: Observation, h) -> np.ndarray:
-        return quantile_gradient(obs, h, self.direction)
 
 
 class RandomSource:

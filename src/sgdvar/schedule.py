@@ -85,16 +85,3 @@ def decay_ratio(n: int, params: StepParams) -> float:
     if params.mu != 0.0:
         exponent -= 0.5 * params.mu * log_ratio
     return math.exp(exponent)
-
-
-def log_weight_sq_sum(n: int, params: StepParams) -> float:
-    """Log of sum_{k<=n} weight(k)^2, accumulated with log-sum-exp.
-
-    O(n); intended for diagnostics and tests, not for the streaming path.
-    """
-    total = 2.0 * log_weight(1, params)
-    for k in range(2, n + 1):
-        term = 2.0 * log_weight(k, params)
-        high, low = (total, term) if total >= term else (term, total)
-        total = high + math.log1p(math.exp(low - high))
-    return total

@@ -10,7 +10,7 @@ from sgdvar.baselines import (
     pelletier_sigma,
     plugin_sandwich,
 )
-from sgdvar.problems import LogisticObjective, Observation
+from sgdvar.problems import Observation, logistic_gradient, logistic_hessian
 from sgdvar.schedule import ConstraintViolation, StepParams
 
 from conftest import run_gradient_stream
@@ -83,31 +83,28 @@ def test_pelletier_sigma_values():
         pelletier_sigma(Trajectory.from_iterates([1.0]))
 
 
-class ForcedObjective:
-    """Test double with hand-picked hessian (constant multiple of I)."""
+def gradient_is_features(obs, h):
+    """Test double: the gradient is the observation itself."""
+    return obs.features
 
-    def __init__(self, dimension, hessian_scale=1.0):
-        self.dimension = dimension
-        self.hessian_scale = hessian_scale
 
-    def gradient(self, obs, h):
-        return obs.features
-
-    def hessian(self, obs, h):
-        return self.hessian_scale * np.eye(self.dimension)
+def scaled_identity(scale):
+    """Test double: a hand-picked hessian, a constant multiple of I."""
+    return lambda obs, h: scale * np.eye(h.shape[0])
 
 
 def test_plugin_sandwich_identity_hessian_returns_gradient_covariance():
     data = [Observation(np.array(v)) for v in ([1.0, 0.0], [0.0, 2.0], [1.0, 1.0])]
     expected = sum(np.outer(o.features, o.features) for o in data) / 3.0
-    result = plugin_sandwich(ForcedObjective(2), data, np.zeros(2), ridge=0.0)
+    result = plugin_sandwich(gradient_is_features, scaled_identity(1.0), data,
+                             np.zeros(2), ridge=0.0)
     assert np.allclose(result, expected, rtol=1e-12)
 
 
 def test_plugin_sandwich_scalar_algebra():
     root2 = np.sqrt(2.0)
     data = [Observation(np.array([root2, 0.0])), Observation(np.array([0.0, root2]))]
-    result = plugin_sandwich(ForcedObjective(2, hessian_scale=2.0), data,
+    result = plugin_sandwich(gradient_is_features, scaled_identity(2.0), data,
                              np.zeros(2), ridge=0.0)
     assert np.allclose(result, 0.25 * np.eye(2), rtol=1e-12)
 
@@ -115,16 +112,10 @@ def test_plugin_sandwich_scalar_algebra():
 def test_plugin_sandwich_singular_and_contract_errors():
     data = [Observation(np.array([1.0, 0.0]))]
     with pytest.raises(SingularHessian):
-        plugin_sandwich(ForcedObjective(2, hessian_scale=0.0), data,
+        plugin_sandwich(gradient_is_features, scaled_identity(0.0), data,
                         np.zeros(2), ridge=0.0)
-    class NoHessian:
-        dimension = 2
-        def gradient(self, obs, h):
-            return obs.features
-    with pytest.raises(TypeError):
-        plugin_sandwich(NoHessian(), data, np.zeros(2))
     with pytest.raises(ValueError):
-        plugin_sandwich(ForcedObjective(2), [], np.zeros(2))
+        plugin_sandwich(gradient_is_features, scaled_identity(1.0), [], np.zeros(2))
 
 
 def test_plugin_sandwich_logistic_monte_carlo():
@@ -132,7 +123,7 @@ def test_plugin_sandwich_logistic_monte_carlo():
     # gradient covariance -> I/4, sandwich -> 4I
     gen = problems.logistic_sampler(np.zeros(2), seed=13)
     data = [next(gen) for _ in range(100000)]
-    result = plugin_sandwich(LogisticObjective(2), data, np.zeros(2))
+    result = plugin_sandwich(logistic_gradient, logistic_hessian, data, np.zeros(2))
     assert abs(result[0, 0] - 4.0) < 0.4
     assert abs(result[1, 1] - 4.0) < 0.4
     assert abs(result[0, 1]) < 0.4
@@ -141,7 +132,8 @@ def test_plugin_sandwich_logistic_monte_carlo():
 def test_plugin_sandwich_order_insensitive_within_rounding():
     gen = problems.logistic_sampler(np.array([0.5, -0.25]), seed=21)
     data = [next(gen) for _ in range(500)]
-    forward = plugin_sandwich(LogisticObjective(2), data, np.array([0.1, 0.2]))
-    backward = plugin_sandwich(LogisticObjective(2), data[::-1], np.array([0.1, 0.2]))
+    h_ref = np.array([0.1, 0.2])
+    forward = plugin_sandwich(logistic_gradient, logistic_hessian, data, h_ref)
+    backward = plugin_sandwich(logistic_gradient, logistic_hessian, data[::-1], h_ref)
     assert np.allclose(forward, backward, rtol=1e-10)
     assert np.array_equal(forward, forward.T)

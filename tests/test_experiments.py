@@ -136,6 +136,33 @@ def test_split_run_matches_manual_merge():
     assert rec.ks_rm is None and rec.ks_avg is None
 
 
+def test_split_run_skips_singular_observations_per_split(monkeypatch):
+    def gradient(obs, h, v=None):
+        if obs.features[0] > 0.8:  # about 1 in 10 points of the sphere in R^3
+            raise problems.Singularity("forced")
+        return quantile_gradient(obs, h, v)
+
+    quantile_gradient = problems.quantile_gradient
+    monkeypatch.setattr(problems, "quantile_gradient", gradient)
+    config = sphere_config(splits=2, checkpoints=[100, 200], seed=3)
+    result = experiments.run(config)
+
+    # replay: each split draws its own substream and skips the same points
+    states, skipped = [], 0
+    for p in range(2):
+        stream = problems.sphere_sampler(3, seed=3, path=(0, p))
+        state = estimator.init(np.zeros(3), config.params)
+        while state.n < 100:
+            try:
+                estimator.step(state, gradient(next(stream), state.iterate))
+            except problems.Singularity:
+                skipped += 1
+        states.append(state)
+    assert result.skipped_singularities == skipped > 0
+    avg = (states[0].average + states[1].average) / 2.0
+    assert result.records[-1].param_err_sq == float(avg @ avg)
+
+
 def test_ks_skipped_off_the_standard_schedule():
     config = sphere_config(params=StepParams(alpha=0.75, s=0.92))
     result = experiments.run(config)
@@ -287,6 +314,50 @@ def test_csv_run_rejects_dim_mismatch(tmp_path):
         experiments.run(config)
 
 
+def test_csv_run_deals_row_i_to_split_i_mod_splits(tmp_path):
+    data = tmp_path / "data.csv"
+    write_csv(data, csv_rows(30, d=3, seed=4))
+    config = RunConfig(problem="logistic_csv", n_total=21, splits=3,
+                       input_path=str(data), checkpoints=[9, 21])
+    result = experiments.run(config)
+
+    # hand deal: each split starts at n=1, so 21 - 3 rows are read
+    states = [estimator.init(np.zeros(3), config.params) for _ in range(3)]
+    rows = problems.csv_stream(str(data), label_column=0)
+    for i in range(18):
+        state = states[i % 3]
+        estimator.step(state, problems.logistic_gradient(next(rows), state.iterate))
+    average = np.mean([s.average for s in states], axis=0)
+    assert result.summary["final_average"] == [float(v) for v in average]
+    assert result.summary["final_covariance"] == [
+        [float(v) for v in row] for row in estimator.merge(states)]
+
+
+def test_csv_run_reports_rows_read_when_input_ends_mid_round(tmp_path):
+    data = tmp_path / "data.csv"
+    write_csv(data, csv_rows(7))
+    config = RunConfig(problem="logistic_csv", n_total=12, splits=3,
+                       input_path=str(data), checkpoints=[6, 12])
+    # rows 0..6 reach the splits as 3, 2, 2; the eighth row is missing
+    with pytest.raises(problems.DataError, match="input ended after 7 rows; 9 required"):
+        experiments.run(config)
+
+
+def test_csv_run_accepts_a_list_m_init(tmp_path):
+    data = tmp_path / "data.csv"
+    write_csv(data, csv_rows(10))
+    config = RunConfig(problem="logistic_csv", n_total=4, input_path=str(data),
+                       checkpoints=[4], m_init=[0.5, -0.5])
+    result = experiments.run(config)
+    assert config.m_init.shape == (2,)
+    assert len(result.summary["final_average"]) == 2
+
+    config = RunConfig(problem="logistic_csv", n_total=4, input_path=str(data),
+                       checkpoints=[4], m_init=[0.0] * 3)
+    with pytest.raises(ConfigError, match="file dimension"):
+        experiments.run(config)
+
+
 def test_cli_sphere_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = cli.main([
@@ -319,6 +390,24 @@ def test_cli_rejects_bad_schedule(tmp_path, capsys):
         "--alpha", "0.4", "--output", str(tmp_path / "x"),
     ])
     assert code == 2
+
+
+def test_cli_rejects_non_finite_theta_star(tmp_path, capsys):
+    code = cli.main([
+        "--problem", "logistic_synthetic", "--theta-star", "nan,1",
+        "--n-total", "100", "--output", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert "theta_star" in capsys.readouterr().err
+
+
+def test_cli_rejects_direction_outside_the_unit_ball(tmp_path, capsys):
+    code = cli.main([
+        "--problem", "geometric_quantile", "--dim", "3", "--direction", "0.9,0.9,0",
+        "--n-total", "100", "--output", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert "norm" in capsys.readouterr().err
 
 
 def test_cli_missing_input_file(tmp_path, capsys):
