@@ -48,6 +48,7 @@ from .analysis import (
     frobenius_error,
     chi_square_quantile,
     confidence_ball,
+    confidence_region,
 )
 from .experiments import RunConfig, MetricsRecord, RunResult, ConfigError, run, emit
 
@@ -62,6 +63,6 @@ __all__ = [
     "pelletier_sigma", "plugin_sandwich",
     "KsResult", "SphereReferences", "sphere_references", "normalize_iterate",
     "normalize_average", "ks_normal", "frobenius_error", "chi_square_quantile",
-    "confidence_ball",
+    "confidence_ball", "confidence_region",
     "RunConfig", "MetricsRecord", "RunResult", "ConfigError", "run", "emit",
 ]

@@ -1,4 +1,4 @@
-"""Closed-form references, CLT diagnostics, and confidence balls.
+"""Closed-form references, CLT diagnostics, and confidence regions.
 
 The special functions needed here (normal CDF, Kolmogorov tail,
 chi-square quantile) are implemented on top of the standard library so
@@ -298,14 +298,26 @@ class ConfidenceBall:
 
 def confidence_ball(state: EstimatorState, level: float = 0.95,
                     ridge: float | None = None, spherical: bool = False) -> ConfidenceBall:
-    """Build a confidence region from the current online state.
+    """confidence_region around the state's average, from its Sigma_n and n."""
+    # state.covariance is built on each read, so the ridge may go into it directly
+    return _region(state.average, state.covariance, state.n, level, ridge, spherical)
+
+
+def confidence_region(center, covariance, n: int, level: float = 0.95,
+                      ridge: float | None = None, spherical: bool = False) -> ConfidenceBall:
+    """Confidence region for the parameter from an average, its Sigma and count n.
 
     ridge defaults to 1e-8 * trace(Sigma)/d and must be positive when the
-    covariance estimate is still identically zero.
+    covariance estimate is identically zero. The ridge goes into a copy,
+    so the caller's covariance is never changed.
     """
-    regularized = state.covariance  # a fresh array, built once per query
+    return _region(center, np.array(covariance, dtype=float), n, level, ridge, spherical)
+
+
+def _region(center, regularized: np.ndarray, n: int, level: float,
+            ridge: float | None, spherical: bool) -> ConfidenceBall:
+    """confidence_region, adding the ridge to regularized in place."""
     d = regularized.shape[0]
-    n = state.n
     trace = float(regularized.trace())
     if ridge is None:
         ridge = 1e-8 * trace / d
@@ -313,27 +325,21 @@ def confidence_ball(state: EstimatorState, level: float = 0.95,
         raise ValueError("covariance estimate is zero; a positive ridge is required")
     regularized.flat[::d + 1] += ridge
     quantile = chi_square_quantile(level, d)
+    chol = spherical_radius = None
     if spherical:
         lam_max = float(np.linalg.eigvalsh(regularized)[-1])
-        return ConfidenceBall(
-            center=state.average.copy(),
-            level=level,
-            quantile=quantile,
-            mahalanobis_radius=math.sqrt(quantile / n),
-            spherical_radius=math.sqrt(quantile * lam_max / n),
-            _chol=None,
-            _n=n,
-        )
-    try:
-        chol = np.linalg.cholesky(regularized)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance estimate is singular; increase ridge") from exc
+        spherical_radius = math.sqrt(quantile * lam_max / n)
+    else:
+        try:
+            chol = np.linalg.cholesky(regularized)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("covariance estimate is singular; increase ridge") from exc
     return ConfidenceBall(
-        center=state.average.copy(),
+        center=np.array(center, dtype=float),
         level=level,
         quantile=quantile,
         mahalanobis_radius=math.sqrt(quantile / n),
-        spherical_radius=None,
+        spherical_radius=spherical_radius,
         _chol=chol,
         _n=n,
     )

@@ -20,7 +20,8 @@ Each step writes the row sqrt((1-delta)(n+1)^-(delta+s)) W_{n+1} into a
 buffered rows R are folded into A with one R'R product, which numpy runs
 as a BLAS syrk, so A stays exactly symmetric. Sigma_n is computed when
 read and a read never changes A, so the state and its snapshots depend
-only on the observations, not on when anyone looked.
+only on the observations, not on when anyone looked. Only a new
+observation moves the state: n and Sigma_n are read-only.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from .schedule import StepParams
 SNAPSHOT_MAGIC = b"SVAR"
 SNAPSHOT_VERSION = 2
 FOLD_ROWS = 20
-_HEADER = struct.Struct("<4sBIQ5d")
-_HEADER_V2 = struct.Struct("<QQI")  # count, base, pending rows; follows _HEADER
+_HEADER = struct.Struct("<4sBIQ5dQQI")
 
 
 class NumericError(ArithmeticError):
@@ -54,30 +54,34 @@ class EstimatorState:
     the iterates themselves.
 
     covariance is Sigma_n, computed on each read from the deferred form
-    Sigma = (base/count)^(1-delta) (A + R'R): A holds the folded rows, R
-    the pending ones, count the iterate index the form has reached and
-    base the index where it was anchored (1 for a fresh state, so that A
-    is n^(1-delta) Sigma_n). Assigning covariance re-anchors the form at
-    the current n, and a read right after returns the assigned values
-    exactly. count is kept apart from n because callers may write n.
+    Sigma = (1/n)^(1-delta) (A + R'R), where R holds the pending rows and A
+    the folded ones. n and covariance are read-only; init and restore build
+    states from A and the pending rows.
     """
 
-    __slots__ = ("n", "iterate", "average", "residual_acc", "params",
-                 "_a", "_rows", "_pending", "_count", "_base")
+    __slots__ = ("_n", "iterate", "average", "residual_acc", "params",
+                 "_a", "_rows", "_pending")
 
     def __init__(self, n: int, iterate: np.ndarray, average: np.ndarray,
-                 residual_acc: np.ndarray, covariance, params: StepParams):
-        self.n = n
+                 residual_acc: np.ndarray, a: np.ndarray, rows: np.ndarray,
+                 params: StepParams):
+        self._n = n
         self.iterate = iterate
         self.average = average
         self.residual_acc = residual_acc
         self.params = params
+        self._a = a
+        self._pending = rows.shape[0]
         self._rows = np.zeros((FOLD_ROWS, iterate.shape[0]))
-        self.covariance = covariance
+        self._rows[:self._pending] = rows
+
+    @property
+    def n(self) -> int:
+        return self._n
 
     @property
     def covariance(self) -> np.ndarray:
-        scale = (self._base / self._count) ** (1.0 - self.params.delta)
+        scale = (1 / self._n) ** (1.0 - self.params.delta)
         if not self._pending:
             return scale * self._a
         rows = self._rows[:self._pending]
@@ -85,12 +89,6 @@ class EstimatorState:
         sigma += self._a
         sigma *= scale
         return sigma
-
-    @covariance.setter
-    def covariance(self, value) -> None:
-        self._a = np.array(value, dtype=float)
-        self._pending = 0
-        self._count = self._base = self.n
 
 
 def init(m_init, params: StepParams) -> EstimatorState:
@@ -104,14 +102,8 @@ def init(m_init, params: StepParams) -> EstimatorState:
     if not np.isfinite(point).all():
         raise NumericError("initial point contains non-finite values")
     d = point.shape[0]
-    return EstimatorState(
-        n=1,
-        iterate=point.copy(),
-        average=point.copy(),
-        residual_acc=np.zeros(d),
-        covariance=np.zeros((d, d)),
-        params=params,
-    )
+    return EstimatorState(1, point.copy(), point.copy(), np.zeros(d),
+                          np.zeros((d, d)), np.zeros((0, d)), params)
 
 
 def step(state: EstimatorState, gradient) -> EstimatorState:
@@ -124,9 +116,7 @@ def step(state: EstimatorState, gradient) -> EstimatorState:
     reweighting of all past residuals folded into a rank-1 recursion.
     The step carries it out in deferred form: it writes one scaled row
     of W into the pending buffer, and when n+1 is a multiple of FOLD_ROWS
-    it folds the buffer into A (see the module docstring). If n was
-    written from outside since the last step, the form is first
-    re-anchored at the written n, as assigning covariance does.
+    it folds the buffer into A (see the module docstring).
     """
     grad = np.asarray(gradient, dtype=float)
     if grad.shape != state.iterate.shape:
@@ -136,10 +126,8 @@ def step(state: EstimatorState, gradient) -> EstimatorState:
     if not np.isfinite(grad).all():
         raise NumericError("gradient contains non-finite values")
 
-    n = state.n
+    n = state._n
     params = state.params
-    if state._count != n:  # n was written from outside: re-anchor there
-        state.covariance = state.covariance
     state.iterate -= schedule.step_size(n, params) * grad
     state.average += (state.iterate - state.average) / (n + 1)
 
@@ -147,8 +135,6 @@ def step(state: EstimatorState, gradient) -> EstimatorState:
     state.residual_acc += state.iterate - state.average
 
     gain = (1.0 - params.delta) * float(n + 1) ** -(params.delta + params.s)
-    if state._base != 1:
-        gain *= float(state._base) ** (params.delta - 1.0)
     pending = state._pending
     np.multiply(state.residual_acc, math.sqrt(gain), out=state._rows[pending])
     pending += 1
@@ -158,7 +144,7 @@ def step(state: EstimatorState, gradient) -> EstimatorState:
         state._a += rows.T @ rows
         pending = 0
     state._pending = pending
-    state._count = state.n = n
+    state._n = n
     return state
 
 
@@ -199,16 +185,17 @@ def snapshot(state: EstimatorState) -> bytes:
 
     Layout (version 2), all little-endian: magic, version byte,
     dimension d (u32), n (u64), the five schedule parameters (f64), the
-    deferred form's count and base (u64 each) and pending row count k
-    (u32), then iterate, average, residual accumulator, A (d x d) and the
-    k pending rows (k x d) as raw IEEE-754 doubles.
+    deferred form's count and anchor (u64 each, always n and 1) and the
+    pending row count k (u32), then iterate, average, residual
+    accumulator, A (d x d) and the k pending rows (k x d) as raw IEEE-754
+    doubles.
     """
     p = state.params
     d = state.iterate.shape[0]
     header = _HEADER.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, d, state.n,
-        p.c_gamma, p.alpha, p.s, p.delta, p.mu,
-    ) + _HEADER_V2.pack(state._count, state._base, state._pending)
+        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, d, state._n,
+        p.c_gamma, p.alpha, p.s, p.delta, p.mu, state._n, 1, state._pending,
+    )
     body = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
         for arr in (state.iterate, state.average, state.residual_acc,
@@ -220,54 +207,35 @@ def snapshot(state: EstimatorState) -> bytes:
 def restore(data: bytes) -> EstimatorState:
     """Rebuild a state from snapshot bytes; exact inverse of snapshot.
 
-    Version 1 blobs (n, iterate, average, residual accumulator and Sigma)
-    are still read; their Sigma becomes the anchor of the deferred form.
-    Raises ValueError for a blob that does not hold a valid state: bad
-    framing, inadmissible parameters, non-finite values, an asymmetric
-    Sigma or A, or counts that disagree with each other or with the
-    number of pending rows.
+    Only version 2 is read; the version 1 format of the first releases is
+    refused. Raises ValueError for a blob that does not hold a valid
+    state: bad framing, inadmissible parameters, non-finite values, an
+    asymmetric A, a count other than n or an anchor other than 1, or a
+    pending row count that n does not imply.
     """
     if len(data) < _HEADER.size:
         raise ValueError("snapshot truncated: header incomplete")
-    magic, version, d, n, c_gamma, alpha, s, delta, mu = _HEADER.unpack_from(data)
+    (magic, version, d, n, c_gamma, alpha, s, delta, mu,
+     count, base, pending) = _HEADER.unpack_from(data)
     if magic != SNAPSHOT_MAGIC:
         raise ValueError("not a snapshot: bad magic bytes")
-    if version not in (1, 2):
+    if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    offset = _HEADER.size
-    count = base = n
-    pending = 0
-    if version == 2:
-        if len(data) < offset + _HEADER_V2.size:
-            raise ValueError("snapshot truncated: header incomplete")
-        count, base, pending = _HEADER_V2.unpack_from(data, offset)
-        offset += _HEADER_V2.size
-    expected = offset + 8 * (3 * d + d * d + pending * d)
+    expected = _HEADER.size + 8 * (3 * d + d * d + pending * d)
     if len(data) != expected:
         raise ValueError(f"snapshot has {len(data)} bytes, expected {expected}")
     params = schedule.validate(StepParams(c_gamma, alpha, s, delta, mu))
-    if not 1 <= base <= count or n < 1:
+    if n < 1 or count != n or base != 1:
         raise ValueError(f"snapshot counts are inconsistent: n={n}, count={count}, base={base}")
-    # rows pend since the later of the anchor and the last fold, so fewer than FOLD_ROWS
-    implied = count - max(base, count - count % FOLD_ROWS)
+    # rows pend since the later of n = 1 and the last fold, so fewer than FOLD_ROWS
+    implied = n - max(1, n - n % FOLD_ROWS)
     if pending != implied:
         raise ValueError(f"snapshot holds {pending} pending rows, its counts imply {implied}")
-    flat = np.frombuffer(data, dtype="<f8", offset=offset).astype(float)
+    flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).astype(float)
     if not np.isfinite(flat).all():
         raise ValueError("snapshot holds non-finite values")
-    matrix = flat[3 * d:3 * d + d * d].reshape(d, d)
-    if not np.array_equal(matrix, matrix.T):
+    a = flat[3 * d:3 * d + d * d].reshape(d, d)
+    if not np.array_equal(a, a.T):
         raise ValueError("snapshot covariance is not symmetric")
-    state = EstimatorState(
-        n=count,
-        iterate=flat[:d].copy(),
-        average=flat[d:2 * d].copy(),
-        residual_acc=flat[2 * d:3 * d].copy(),
-        covariance=matrix,
-        params=params,
-    )
-    state._base = base
-    state._pending = pending
-    state._rows[:pending] = flat[3 * d + d * d:].reshape(pending, d)
-    state.n = n
-    return state
+    return EstimatorState(n, flat[:d].copy(), flat[d:2 * d].copy(), flat[2 * d:3 * d].copy(),
+                          a.copy(), flat[3 * d + d * d:].reshape(pending, d), params)

@@ -8,6 +8,7 @@ from sgdvar import analysis, estimator
 from sgdvar.analysis import (
     chi_square_quantile,
     confidence_ball,
+    confidence_region,
     frobenius_error,
     ks_normal,
     normalize_average,
@@ -168,40 +169,49 @@ def test_chi_square_quantile_inverts_the_cdf():
                 level, abs=1e-10)
 
 
-def _state_with(sigma, average, n):
-    state = estimator.init(np.zeros(len(average)), StepParams())
-    state.covariance = np.array(sigma, dtype=float)
-    state.average = np.array(average, dtype=float)
-    state.n = n
-    return state
+def test_chi_square_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    levels = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
+    for dof in [*range(1, 31), 50, 100, 200, 500, 1000]:
+        for level in levels:
+            expected = stats.chi2.ppf(level, dof)
+            got = chi_square_quantile.__wrapped__(level, dof)
+            assert abs(got - expected) <= 1e-10 * expected, (dof, level)
+
+
+def test_kolmogorov_tail_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    switch = 1.18  # _kolmogorov_p changes series here
+    lams = [*np.linspace(0.05, 3.0, 296), np.nextafter(switch, 0.0), switch,
+            np.nextafter(switch, 2.0), switch - 1e-6, switch + 1e-6]
+    for lam in lams:
+        assert abs(analysis._kolmogorov_p(float(lam)) - stats.kstwobign.sf(lam)) <= 1e-12, lam
 
 
 def test_confidence_ball_unit_quadratic_form():
     n = 400
-    state = _state_with(np.eye(3), [1.0, 2.0, 3.0], n)
-    ball = confidence_ball(state, level=0.95, ridge=0.0)
-    point = state.average + np.array([1.0, 0.0, 0.0]) / math.sqrt(n)
+    center = np.array([1.0, 2.0, 3.0])
+    ball = confidence_region(center, np.eye(3), n, level=0.95, ridge=0.0)
+    point = center + np.array([1.0, 0.0, 0.0]) / math.sqrt(n)
     assert ball.statistic(point) == pytest.approx(1.0, rel=1e-12)
-    assert ball.test(state.average)
-    assert ball.statistic(state.average) == 0.0
+    assert ball.test(center)
+    assert ball.statistic(center) == 0.0
     assert ball.mahalanobis_radius == pytest.approx(
         math.sqrt(chi_square_quantile(0.95, 3) / n))
 
 
 def test_confidence_ball_level_one_dim_quantile():
-    state = _state_with([[1.0]], [0.0], 100)
-    ball = confidence_ball(state, level=0.95, ridge=0.0)
+    ball = confidence_region([0.0], [[1.0]], 100, level=0.95, ridge=0.0)
     assert ball.quantile == pytest.approx(3.841459, abs=1e-6)
 
 
 def test_confidence_ball_translation_invariance():
     gen = np.random.default_rng(8)
     sigma = np.eye(2) + 0.3 * np.ones((2, 2))
-    state = _state_with(sigma, [0.5, -0.5], 250)
-    ball = confidence_ball(state, level=0.9, ridge=0.0)
+    center = np.array([0.5, -0.5])
+    ball = confidence_region(center, sigma, 250, level=0.9, ridge=0.0)
     shift = gen.normal(size=2)
-    shifted_state = _state_with(sigma, state.average + shift, 250)
-    shifted_ball = confidence_ball(shifted_state, level=0.9, ridge=0.0)
+    shifted_ball = confidence_region(center + shift, sigma, 250, level=0.9, ridge=0.0)
     for _ in range(20):
         point = gen.normal(size=2)
         assert ball.test(point) == shifted_ball.test(point + shift)
@@ -209,9 +219,8 @@ def test_confidence_ball_translation_invariance():
 
 def test_confidence_ball_spherical_variant_is_conservative():
     sigma = np.diag([2.0, 0.5])
-    state = _state_with(sigma, [0.0, 0.0], 100)
-    ellipsoid = confidence_ball(state, level=0.95, ridge=0.0)
-    sphere = confidence_ball(state, level=0.95, ridge=0.0, spherical=True)
+    ellipsoid = confidence_region(np.zeros(2), sigma, 100, level=0.95, ridge=0.0)
+    sphere = confidence_region(np.zeros(2), sigma, 100, level=0.95, ridge=0.0, spherical=True)
     assert sphere.spherical_radius == pytest.approx(
         math.sqrt(ellipsoid.quantile * 2.0 / 100.0))
     gen = np.random.default_rng(17)
@@ -227,3 +236,27 @@ def test_confidence_ball_zero_sigma_requires_ridge():
         confidence_ball(state, ridge=0.0)
     ball = confidence_ball(state, ridge=1e-6)
     assert ball.test(np.zeros(2))
+
+
+@pytest.mark.parametrize("spherical", [False, True])
+def test_confidence_region_leaves_its_covariance_unchanged(spherical):
+    gen = np.random.default_rng(23)
+    root = gen.normal(size=(4, 4))
+    sigma = root @ root.T
+    before = sigma.tobytes()
+    region = confidence_region(np.zeros(4), sigma, 50, ridge=0.5, spherical=spherical)
+    assert sigma.tobytes() == before
+    assert region.test(np.zeros(4))
+
+
+def test_confidence_ball_is_the_region_of_the_state():
+    gen = np.random.default_rng(4)
+    state = estimator.init(np.zeros(3), StepParams())
+    for _ in range(57):
+        estimator.step(state, gen.normal(size=3))
+    ball = confidence_ball(state, level=0.9)
+    region = confidence_region(state.average, state.covariance, state.n, level=0.9)
+    assert ball.center.tobytes() == region.center.tobytes()
+    assert ball._chol.tobytes() == region._chol.tobytes()
+    assert ball.quantile == region.quantile
+    assert ball._n == region._n == state.n == 58

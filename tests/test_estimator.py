@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgdvar import baselines, estimator
 from sgdvar.estimator import NumericError
@@ -103,16 +104,46 @@ def test_average_matches_direct_mean():
     assert err < 1e-10
 
 
-def test_merge_examples():
-    a = estimator.init([0.0, 0.0], StepParams())
-    assert np.array_equal(estimator.merge([a]), a.covariance)
-    b = estimator.init([0.0, 0.0], StepParams())
-    a.covariance = 2.0 * np.eye(2)
-    b.covariance = 4.0 * np.eye(2)
-    assert np.array_equal(estimator.merge([a, b]), 3.0 * np.eye(2))
-    assert np.array_equal(estimator.merge([a, a]), 2.0 * np.eye(2))
-    weighted = estimator.merge([a, b], weights=[0.25, 0.75])
-    assert np.allclose(weighted, 3.5 * np.eye(2))
+def assert_symmetric_psd(sigma):
+    assert np.array_equal(sigma, sigma.T)
+    assert np.linalg.eigvalsh(sigma).min() >= -1e-12 * np.trace(sigma)
+
+
+@st.composite
+def stepped_states(draw):
+    """1 to 5 states of one dimension, each stepped on its own gradients."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for steps in draw(st.lists(st.integers(1, 3 * estimator.FOLD_ROWS),
+                               min_size=k, max_size=k)):
+        state = estimator.init(gen.normal(size=d), StepParams())
+        for _ in range(steps):
+            estimator.step(state, gen.normal(size=d))
+            assert_symmetric_psd(state.covariance)
+        states.append(state)
+    return states
+
+
+@settings(max_examples=25, deadline=None)
+@given(stepped_states(), st.data())
+def test_merge_properties(states, data):
+    k = len(states)
+    covs = [st_.covariance for st_ in states]
+    assert estimator.merge(states[:1]).tobytes() == covs[0].tobytes()
+    raw = data.draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    weights = np.array(raw) / sum(raw)
+    for w in (None, weights):
+        merged = estimator.merge(states, weights=w)
+        w = np.full(k, 1.0 / k) if w is None else w
+        assert np.array_equal(merged, sum(wi * c for wi, c in zip(w, covs)))
+        assert_symmetric_psd(merged)
+        order = data.draw(st.permutations(range(k)))
+        permuted = estimator.merge([states[i] for i in order], weights=w[list(order)])
+        scale = np.linalg.norm(merged)
+        assert np.linalg.norm(permuted - merged) <= 1e-14 * scale
+        assert_symmetric_psd(permuted)
 
 
 def test_merge_rejects_bad_inputs():

@@ -410,6 +410,33 @@ def test_cli_rejects_direction_outside_the_unit_ball(tmp_path, capsys):
     assert "norm" in capsys.readouterr().err
 
 
+def test_cli_rejects_points_per_decade_below_one(tmp_path, capsys):
+    code = cli.main([
+        "--problem", "sphere_median", "--dim", "3", "--n-total", "100",
+        "--points-per-decade", "0", "--output", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert "points_per_decade" in capsys.readouterr().err
+    # explicit checkpoints, so a missing check fails here instead of
+    # building a grid that never reaches n_total
+    with pytest.raises(ConfigError, match="points_per_decade"):
+        experiments.validate_config(sphere_config(points_per_decade=-5, checkpoints=[10]))
+    code = cli.main([
+        "--problem", "sphere_median", "--dim", "3", "--n-total", "100",
+        "--points-per-decade", "-5", "--checkpoints", "10", "--output", str(tmp_path / "x"),
+    ])
+    assert code == 2
+
+
+def test_cli_rejects_non_finite_m_init(tmp_path, capsys):
+    code = cli.main([
+        "--problem", "sphere_median", "--dim", "3", "--n-total", "100",
+        "--m-init", "nan,0,0", "--output", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert "m_init" in capsys.readouterr().err
+
+
 def test_cli_missing_input_file(tmp_path, capsys):
     code = cli.main([
         "--problem", "logistic_csv", "--n-total", "10",
