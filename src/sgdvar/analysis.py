@@ -1,15 +1,14 @@
 """Closed-form references, CLT diagnostics, and confidence regions.
 
-The special functions needed here (normal CDF, Kolmogorov tail,
-chi-square quantile) are implemented on top of the standard library so
-the package carries no statistics dependency.
+The special functions (normal CDF, Kolmogorov tail, and the chi-square
+law at the integer degrees of freedom it is asked for, a finite sum)
+are built on the standard library, with no statistics dependency.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,88 +153,44 @@ def frobenius_error(estimate, truth) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x).
+def _chi_square_sf(x: float, dof: int) -> float:
+    """Upper tail P(chi2_dof > x) for x > 0 and an integer dof >= 1.
 
-    Power series for x < a + 1, Lentz continued fraction for the upper
-    tail otherwise; both standard evaluations, accurate to ~1e-14.
+    With t = x/2 and a = (dof mod 2)/2 the tail is a finite sum:
+    erfc(sqrt(t)) for odd dof, plus t^(j+a) e^-t / Gamma(j+a+1) for
+    j < dof//2. Each term is formed in log-domain, since e^-t alone
+    underflows once x exceeds ~1490.
     """
-    if x < 0 or a <= 0:
-        raise ValueError("P(a, x) requires a > 0 and x >= 0")
-    if x == 0.0:
-        return 0.0
-    log_scale = -x + a * math.log(x) - math.lgamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        k = a
-        for _ in range(1000):
-            k += 1.0
-            term *= x / k
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return min(1.0, total * math.exp(log_scale))
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return max(0.0, 1.0 - math.exp(log_scale) * h)
+    t = x / 2.0
+    a = (dof % 2) / 2.0
+    log_t = math.log(t)
+    total = math.erfc(math.sqrt(t)) if a else 0.0
+    for j in range(dof // 2):
+        total += math.exp((j + a) * log_t - t - math.lgamma(j + a + 1.0))
+    return total
 
 
 @functools.lru_cache(maxsize=256)
 def chi_square_quantile(level: float, dof: int) -> float:
-    """Quantile of the chi-square distribution with dof degrees of freedom.
+    """Quantile of the chi-square distribution with an integer dof >= 1.
 
-    Safeguarded Newton iteration on the regularized incomplete gamma CDF,
-    started from the Wilson-Hilferty normal approximation; absolute error
-    well below 1e-6 over the tested range. Memoized on (level, dof), since
-    every query of a stream asks for the same quantile.
+    Bisection of _chi_square_sf against 1 - level, on the bracket [0, dof]
+    doubled until it holds, to 1e-13 relative. Memoized on (level, dof),
+    since every query of a stream asks for the same quantile.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    if dof < 1:
+    if not (dof >= 1 and float(dof).is_integer()):
         raise ValueError("dof must be a positive integer")
-    a = dof / 2.0
-    z = statistics.NormalDist().inv_cdf(level)
-    t = 2.0 / (9.0 * dof)
-    x = dof * (1.0 - t + z * math.sqrt(t)) ** 3
-    if x <= 0.0:
-        x = 1e-8
-    lo = 0.0
-    hi = max(2.0 * x, dof + 20.0 * math.sqrt(2.0 * dof) + 20.0)
-    while _reg_lower_gamma(a, hi / 2.0) < level:
-        hi *= 2.0
-    for _ in range(200):
-        f = _reg_lower_gamma(a, x / 2.0) - level
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        log_pdf = (a - 1.0) * math.log(x) - x / 2.0 - a * math.log(2.0) - math.lgamma(a)
-        step = f / math.exp(log_pdf)
-        nxt = x - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 1e-12 * (1.0 + x):
-            return nxt
-        x = nxt
-    return x
+    dof = int(dof)
+    tail = 1.0 - level
+    lo, hi = 0.0, float(dof)
+    while _chi_square_sf(hi, dof) > tail:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _chi_square_sf(mid, dof) > tail else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 _SOLVE_BLOCK = 25

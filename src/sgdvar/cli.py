@@ -67,18 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_cells(text: str, convert, what: str) -> list:
+    """The non-blank comma-separated cells of a flag, each passed to convert."""
     try:
-        return np.array([float(cell) for cell in text.split(",") if cell.strip() != ""])
+        return [convert(cell) for cell in text.split(",") if cell.strip() != ""]
     except ValueError:
-        raise ConfigError(f"could not parse vector {text!r}") from None
-
-
-def _parse_checkpoints(text: str) -> list[int]:
-    try:
-        return [int(cell) for cell in text.split(",") if cell.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"could not parse checkpoints {text!r}") from None
+        raise ConfigError(f"could not parse {what} {text!r}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -102,17 +96,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    params_data = dict(data.get("params") or {})
-    bad = set(params_data) - set(_PARAM_FIELDS)
+    try:
+        params = {k: float(v) for k, v in dict(data.get("params") or {}).items()}
+    except (TypeError, ValueError):
+        raise ConfigError(f"could not parse params {data['params']!r}") from None
+    bad = set(params) - set(_PARAM_FIELDS)
     if bad:
         raise ConfigError(f"unknown params keys: {sorted(bad)}")
     for name in _PARAM_FIELDS:
         value = getattr(args, name)
         if value is not None:
-            params_data[name] = value
+            params[name] = value
 
     merged = dict(data)
-    merged["params"] = StepParams(**{k: float(v) for k, v in params_data.items()})
+    merged["params"] = StepParams(**params)
     for name in ("problem", "dim", "n_total", "seed", "replications", "splits",
                  "points_per_decade", "feature_law", "input_path", "label_column",
                  "has_header", "remap_zero_one", "residuals", "level", "region",
@@ -121,13 +118,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[name] = value
     if args.checkpoints is not None:
-        merged["checkpoints"] = _parse_checkpoints(args.checkpoints)
+        merged["checkpoints"] = _parse_cells(args.checkpoints, int, "checkpoints")
     for name in ("direction", "theta_star", "m_init"):
         value = getattr(args, name)
         if value is not None:
-            merged[name] = _parse_vector(value)
+            merged[name] = np.array(_parse_cells(value, float, "vector"))
         elif merged.get(name) is not None:
-            merged[name] = np.asarray(merged[name], dtype=float)
+            try:
+                merged[name] = np.asarray(merged[name], dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"could not parse {name} {merged[name]!r}") from None
 
     if "problem" not in merged:
         raise ConfigError("a problem must be given (--problem or config file)")

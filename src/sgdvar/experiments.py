@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import statistics
 import time
 from dataclasses import dataclass, field, asdict
@@ -109,26 +110,39 @@ def _standard_schedule(params: StepParams) -> bool:
     return abs(params.c_gamma - 1.0) <= 1e-12 and abs(params.alpha - 2.0 / 3.0) <= 1e-12
 
 
+# Scalar RunConfig fields by the type they must hold; dim and input_path
+# may also be None. Checked before any of them is compared or looked up.
+_FIELD_TYPES = (
+    ("an integer", numbers.Integral, ("dim", "n_total", "seed", "replications", "splits",
+                                      "points_per_decade", "label_column")),
+    ("a number", numbers.Real, ("level",)),
+    ("a string", str, ("problem", "feature_law", "input_path", "output_path",
+                       "output_format", "region")),
+)
+
+
 def validate_config(config: RunConfig) -> RunConfig:
     """Check cross-field consistency and fill derived defaults in place."""
+    for kind, cls, names in _FIELD_TYPES:
+        for name in names:
+            value = getattr(config, name)
+            wrong = isinstance(value, bool) or not isinstance(value, cls)
+            if wrong and not (value is None and name in ("dim", "input_path")):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
     problem = PROBLEMS.get(config.problem)
     if problem is None:
         raise ConfigError(f"unknown problem {config.problem!r}; choose from {tuple(PROBLEMS)}")
     schedule.validate(config.params)
-    if config.n_total < 2:
-        raise ConfigError(f"n_total must be at least 2, got {config.n_total}")
-    if config.replications < 1:
-        raise ConfigError("replications must be >= 1")
-    if config.splits < 1:
-        raise ConfigError("splits must be >= 1")
+    for name, least in (("n_total", 2), ("replications", 1), ("splits", 1),
+                        ("points_per_decade", 1), ("label_column", 0)):
+        if getattr(config, name) < least:
+            raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
     if config.n_total % config.splits != 0:
         raise ConfigError(
             f"n_total={config.n_total} must be divisible by splits={config.splits}"
         )
     if config.n_total // config.splits < 2:
         raise ConfigError("each split needs at least 2 iterates")
-    if config.points_per_decade < 1:
-        raise ConfigError(f"points_per_decade must be >= 1, got {config.points_per_decade}")
     if not 0.0 < config.level < 1.0:
         raise ConfigError("level must lie strictly between 0 and 1")
     if config.region not in ("ellipsoid", "ball"):
@@ -153,7 +167,10 @@ def validate_config(config: RunConfig) -> RunConfig:
             config.n_total, config.splits, config.points_per_decade
         )
     else:
-        cps = sorted(set(int(c) for c in config.checkpoints))
+        try:
+            cps = sorted(set(int(c) for c in config.checkpoints))
+        except (TypeError, ValueError):
+            raise ConfigError(f"could not parse checkpoints {config.checkpoints!r}") from None
         for cp in cps:
             if cp % config.splits != 0:
                 raise ConfigError(f"checkpoint {cp} is not a multiple of splits")
@@ -189,6 +206,8 @@ def _check_quantile(config: RunConfig) -> None:
 
 def _check_logistic(config: RunConfig) -> None:
     config.theta_star = np.asarray(config.theta_star, dtype=float).reshape(-1)
+    if not config.theta_star.size:
+        raise ConfigError("theta_star must not be empty")
     if not np.isfinite(config.theta_star).all():
         raise ConfigError("theta_star contains non-finite values")
     if config.dim is None:

@@ -173,15 +173,14 @@ def logistic_sampler(theta_star, feature_law: str = "standard_normal",
         yield Observation(x, label)
 
 
-def csv_stream(path, label_column: int | None = None, feature_columns=None,
+def csv_stream(path, label_column: int | None = None,
                has_header: bool = False, remap_zero_one: bool = False):
     """Stream observations from a CSV file in one pass with constant memory.
 
     label_column selects a 0-based column holding labels in {-1, +1}
-    (or {0, 1} with remap_zero_one); the remaining columns, or the
-    explicit feature_columns indices, become the feature vector. Parse
-    failures, non-finite values, bad labels, and ragged rows raise
-    DataError naming the offending line.
+    (or {0, 1} with remap_zero_one); the remaining columns become the
+    feature vector. Parse failures, non-finite values, bad labels, and
+    ragged rows raise DataError naming the offending line.
     """
     expected_dim = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -191,36 +190,43 @@ def csv_stream(path, label_column: int | None = None, feature_columns=None,
             line = raw.strip()
             if not line:
                 continue
-            cells = [c.strip() for c in line.split(",")]
+            cells = line.split(",")
             label = None
             if label_column is not None:
-                if label_column >= len(cells):
+                if not 0 <= label_column < len(cells):
                     raise DataError(f"line {lineno}: no column {label_column}")
-                label = _parse_label(cells[label_column], remap_zero_one, lineno)
-            if feature_columns is None:
-                indices = [i for i in range(len(cells)) if i != label_column]
-            else:
-                indices = list(feature_columns)
-            values = []
-            for i in indices:
-                if i >= len(cells):
-                    raise DataError(f"line {lineno}: no column {i}")
-                try:
-                    value = float(cells[i])
-                except ValueError:
-                    raise DataError(
-                        f"line {lineno}: could not parse {cells[i]!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"line {lineno}: non-finite value {cells[i]!r}")
-                values.append(value)
+                label = _parse_label(cells.pop(label_column).strip(), remap_zero_one, lineno)
+            values = _parse_features(cells, lineno)
             if expected_dim is None:
                 expected_dim = len(values)
             elif len(values) != expected_dim:
                 raise DataError(
                     f"line {lineno}: expected {expected_dim} features, got {len(values)}"
                 )
-            yield Observation(np.array(values), label)
+            yield Observation(values, label)
+
+
+def _parse_features(cells: list[str], lineno: int) -> np.ndarray:
+    """The cells as one float array; only when that fails, or gives a
+    non-finite value, are they scanned one by one to name the first bad cell."""
+    try:
+        values = np.array(cells, dtype=float)
+        # a nan or inf cell makes the sum non-finite; a sum that only
+        # overflows takes the cell-by-cell path and passes it
+        if math.isfinite(values.sum()):
+            return values
+    except ValueError:
+        pass
+    values = []
+    for cell in map(str.strip, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(f"line {lineno}: could not parse {cell!r} as a number") from None
+        if not math.isfinite(value):
+            raise DataError(f"line {lineno}: non-finite value {cell!r}")
+        values.append(value)
+    return np.array(values)
 
 
 def _parse_label(cell: str, remap_zero_one: bool, lineno: int) -> int:

@@ -165,14 +165,29 @@ def test_chi_square_quantile_inverts_the_cdf():
     for dof in (1, 4, 9, 30):
         for level in (0.01, 0.3, 0.5, 0.9, 0.999):
             x = chi_square_quantile(level, dof)
-            assert analysis._reg_lower_gamma(dof / 2.0, x / 2.0) == pytest.approx(
-                level, abs=1e-10)
+            assert 1.0 - analysis._chi_square_sf(x, dof) == pytest.approx(level, abs=1e-10)
+
+
+def test_chi_square_quantile_closed_forms():
+    # dof 2 is exponential with mean 2, dof 1 the square of a standard normal
+    for level in (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999):
+        two = -2.0 * math.log1p(-level)
+        assert abs(chi_square_quantile(level, 2) - two) <= 1e-12 * two, level
+        one = statistics.NormalDist().inv_cdf((1.0 + level) / 2.0) ** 2
+        assert abs(chi_square_quantile(level, 1) - one) <= 1e-12 * one, level
+
+
+def test_chi_square_quantile_rejects_non_integer_dof():
+    for dof in (2.5, 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive integer"):
+            chi_square_quantile(0.95, dof)
+    assert chi_square_quantile(0.95, 3.0) == chi_square_quantile(0.95, 3)
 
 
 def test_chi_square_quantile_matches_scipy():
     stats = pytest.importorskip("scipy.stats")
     levels = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
-    for dof in [*range(1, 31), 50, 100, 200, 500, 1000]:
+    for dof in [*range(1, 31), 50, 100, 200, 500, 1000, 2000, 5000]:
         for level in levels:
             expected = stats.chi2.ppf(level, dof)
             got = chi_square_quantile.__wrapped__(level, dof)

@@ -437,6 +437,54 @@ def test_cli_rejects_non_finite_m_init(tmp_path, capsys):
     assert "m_init" in capsys.readouterr().err
 
 
+# bad configurations that must exit with 2, not end in a traceback:
+# id -> (flags, config file fields or None, word the message must name)
+CONFIG_HOLES = {
+    "empty_theta_star": (["--problem", "logistic_synthetic", "--theta-star", ",",
+                          "--checkpoints", "100"], None, "theta_star"),
+    "params_value": ([], {"params": {"alpha": "x"}}, "params"),
+    "params_list": ([], {"params": [1]}, "params"),
+    "problem_list": ([], {"problem": ["sphere_median"]}, "problem"),
+    "level_string": ([], {"level": "0.9"}, "level"),
+    "replications_string": ([], {"replications": "2"}, "replications"),
+    "dim_float": ([], {"dim": 3.5}, "dim"),
+    "checkpoints_strings": ([], {"checkpoints": ["a"]}, "checkpoints"),
+    "checkpoints_number": ([], {"checkpoints": 5}, "checkpoints"),
+    "theta_star_strings": ([], {"problem": "logistic_synthetic", "dim": None,
+                                "theta_star": ["a"]}, "theta_star"),
+    "label_column_null": ([], {"problem": "logistic_csv", "dim": None,
+                               "input_path": "data.csv", "label_column": None},
+                          "label_column"),
+}
+
+
+@pytest.mark.parametrize("flags, fields, word", CONFIG_HOLES.values(), ids=CONFIG_HOLES.keys())
+def test_cli_rejects_config_holes(tmp_path, monkeypatch, capsys, flags, fields, word):
+    monkeypatch.chdir(tmp_path)
+    write_csv(tmp_path / "data.csv", csv_rows(120))
+    argv = ["--n-total", "100", "--output", "x", *flags]
+    if fields is not None:
+        config = {"problem": "sphere_median", "dim": 3, "checkpoints": [100], **fields}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = ["--config", "run.json", *argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and word in err
+
+
+def test_cli_rejects_negative_label_column(tmp_path, capsys):
+    # three features with the label last: -1 must not train on the label
+    data = tmp_path / "data.csv"
+    write_csv(data, [",".join(row.split(",")[1:] + row.split(",")[:1])
+                     for row in csv_rows(40, d=3)])
+    argv = ["--problem", "logistic_csv", "--input", str(data), "--n-total", "30",
+            "--checkpoints", "30", "--output", str(tmp_path / "x")]
+    assert cli.main([*argv, "--label-column", "-1"]) == 2
+    assert "label_column" in capsys.readouterr().err
+    assert cli.main([*argv, "--label-column", "3"]) == 0
+    assert json.loads((tmp_path / "x" / "meta.json").read_text())["config"]["dim"] == 3
+
+
 def test_cli_missing_input_file(tmp_path, capsys):
     code = cli.main([
         "--problem", "logistic_csv", "--n-total", "10",

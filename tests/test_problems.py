@@ -227,11 +227,12 @@ def test_csv_stream_basic(tmp_path):
 
 def test_csv_stream_unlabeled_and_column_selection(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("0.5,1.5,2.5\n", encoding="utf-8")
+    path.write_text("0.5,1.5,-1\n", encoding="utf-8")
     obs = list(csv_stream(path))
     assert obs[0].label is None and obs[0].features.shape == (3,)
-    obs = list(csv_stream(path, feature_columns=[2, 0]))
-    assert np.allclose(obs[0].features, [2.5, 0.5])
+    obs = list(csv_stream(path, label_column=2))
+    assert obs[0].label == -1
+    assert np.array_equal(obs[0].features, [0.5, 1.5])
 
 
 def test_csv_stream_header_and_blank_lines(tmp_path):
@@ -257,7 +258,9 @@ def test_csv_stream_errors_name_the_line(tmp_path):
         list(csv_stream(path, label_column=0))
     path.write_text("1,0.5\n", encoding="utf-8")
     with pytest.raises(DataError, match="no column"):
-        list(csv_stream(path, label_column=0, feature_columns=[5]))
+        list(csv_stream(path, label_column=5))
+    with pytest.raises(DataError, match="no column -1"):
+        list(csv_stream(path, label_column=-1))
 
 
 def test_csv_stream_empty_file(tmp_path):

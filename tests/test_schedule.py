@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgdvar import schedule
 from sgdvar.schedule import ConstraintViolation, StepParams
@@ -126,6 +127,24 @@ def test_decay_ratio_in_unit_interval_and_increasing():
     values = [schedule.decay_ratio(int(n), params) for n in grid]
     assert all(0.0 < v < 1.0 for v in values)
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def admissible_params(draw):
+    """(alpha, s, delta) anywhere in the open admissible region, mu in [0, 5]."""
+    alpha = draw(st.floats(0.5, 0.999, exclude_min=True))
+    s = draw(st.floats((1.0 + alpha) / 2.0, 1.0, exclude_min=True, exclude_max=True))
+    delta = draw(st.floats(s / 2.0, (1.0 + s) / 2.0, exclude_min=True, exclude_max=True))
+    mu = draw(st.floats(0.0, 5.0))
+    return schedule.validate(StepParams(1.0, alpha, s, delta, mu))
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissible_params(), st.integers(1, 10**12))
+def test_decay_ratio_stays_in_unit_interval(params, n):
+    # the ratio rounds to 1.0 above n ~ 4e15 (exp(-1/(2n)) with s near 1),
+    # so the property is stated up to 10**12
+    assert 0.0 < schedule.decay_ratio(n, params) < 1.0
 
 
 @pytest.mark.parametrize("s", [0.85, 0.9, 0.95])
