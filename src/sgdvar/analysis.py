@@ -175,11 +175,14 @@ def chi_square_quantile(level: float, dof: int) -> float:
     """Quantile of the chi-square distribution with an integer dof >= 1.
 
     Bisection of _chi_square_sf against 1 - level, on the bracket [0, dof]
-    doubled until it holds, to 1e-13 relative. Memoized on (level, dof),
-    since every query of a stream asks for the same quantile.
+    doubled until it holds, to 1e-13 relative. The lower tail is taken as
+    1 - sf, so a small level is met to about 1e-16 / level relative, and a
+    level for which 1 - level rounds to 1 (below ~1.1e-16) is refused.
+    Memoized on (level, dof), since every query asks for the same quantile.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    if not 0.0 < 1.0 - level < 1.0:
+        raise ValueError(
+            "level must lie strictly between 0 and 1, and above ~1.1e-16 so that 1 - level < 1")
     if not (dof >= 1 and float(dof).is_integer()):
         raise ValueError("dof must be a positive integer")
     dof = int(dof)

@@ -143,8 +143,9 @@ def validate_config(config: RunConfig) -> RunConfig:
         )
     if config.n_total // config.splits < 2:
         raise ConfigError("each split needs at least 2 iterates")
-    if not 0.0 < config.level < 1.0:
-        raise ConfigError("level must lie strictly between 0 and 1")
+    if not 0.0 < 1.0 - config.level < 1.0:
+        raise ConfigError(
+            "level must lie strictly between 0 and 1, and above ~1.1e-16 so that 1 - level < 1")
     if config.region not in ("ellipsoid", "ball"):
         raise ConfigError(f"unknown region shape {config.region!r}")
     if config.output_format not in ("jsonl", "csv"):

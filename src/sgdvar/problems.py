@@ -190,43 +190,30 @@ def csv_stream(path, label_column: int | None = None,
             line = raw.strip()
             if not line:
                 continue
-            cells = line.split(",")
+            cells = [c.strip() for c in line.split(",")]
             label = None
             if label_column is not None:
                 if not 0 <= label_column < len(cells):
                     raise DataError(f"line {lineno}: no column {label_column}")
-                label = _parse_label(cells.pop(label_column).strip(), remap_zero_one, lineno)
-            values = _parse_features(cells, lineno)
+                label = _parse_label(cells.pop(label_column), remap_zero_one, lineno)
+            values = []
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"line {lineno}: could not parse {cell!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"line {lineno}: non-finite value {cell!r}")
+                values.append(value)
             if expected_dim is None:
                 expected_dim = len(values)
             elif len(values) != expected_dim:
                 raise DataError(
                     f"line {lineno}: expected {expected_dim} features, got {len(values)}"
                 )
-            yield Observation(values, label)
-
-
-def _parse_features(cells: list[str], lineno: int) -> np.ndarray:
-    """The cells as one float array; only when that fails, or gives a
-    non-finite value, are they scanned one by one to name the first bad cell."""
-    try:
-        values = np.array(cells, dtype=float)
-        # a nan or inf cell makes the sum non-finite; a sum that only
-        # overflows takes the cell-by-cell path and passes it
-        if math.isfinite(values.sum()):
-            return values
-    except ValueError:
-        pass
-    values = []
-    for cell in map(str.strip, cells):
-        try:
-            value = float(cell)
-        except ValueError:
-            raise DataError(f"line {lineno}: could not parse {cell!r} as a number") from None
-        if not math.isfinite(value):
-            raise DataError(f"line {lineno}: non-finite value {cell!r}")
-        values.append(value)
-    return np.array(values)
+            yield Observation(np.array(values), label)
 
 
 def _parse_label(cell: str, remap_zero_one: bool, lineno: int) -> int:

@@ -159,6 +159,9 @@ def test_chi_square_quantile_against_table():
         chi_square_quantile(1.0, 3)
     with pytest.raises(ValueError):
         chi_square_quantile(0.95, 0)
+    for dof in (1, 2):  # 1 - 1e-17 rounds to 1: no tail to bisect against
+        with pytest.raises(ValueError, match="level"):
+            chi_square_quantile(1e-17, dof)
 
 
 def test_chi_square_quantile_inverts_the_cdf():
@@ -169,12 +172,15 @@ def test_chi_square_quantile_inverts_the_cdf():
 
 
 def test_chi_square_quantile_closed_forms():
-    # dof 2 is exponential with mean 2, dof 1 the square of a standard normal
-    for level in (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999):
+    # dof 2 is exponential with mean 2, dof 1 the square of a standard normal;
+    # below 1e-3 a level is held to 1e-15 / level, as the lower tail is 1 - sf
+    for level in (1e-15, 1e-10, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9,
+                  0.95, 0.99, 0.999):
+        rel = max(1e-12, 1e-15 / level)
         two = -2.0 * math.log1p(-level)
-        assert abs(chi_square_quantile(level, 2) - two) <= 1e-12 * two, level
+        assert abs(chi_square_quantile(level, 2) - two) <= rel * two, level
         one = statistics.NormalDist().inv_cdf((1.0 + level) / 2.0) ** 2
-        assert abs(chi_square_quantile(level, 1) - one) <= 1e-12 * one, level
+        assert abs(chi_square_quantile(level, 1) - one) <= rel * one, level
 
 
 def test_chi_square_quantile_rejects_non_integer_dof():

@@ -446,6 +446,7 @@ CONFIG_HOLES = {
     "params_list": ([], {"params": [1]}, "params"),
     "problem_list": ([], {"problem": ["sphere_median"]}, "problem"),
     "level_string": ([], {"level": "0.9"}, "level"),
+    "level_below_precision": ([], {"level": 1e-17}, "level"),
     "replications_string": ([], {"replications": "2"}, "replications"),
     "dim_float": ([], {"dim": 3.5}, "dim"),
     "checkpoints_strings": ([], {"checkpoints": ["a"]}, "checkpoints"),
