@@ -22,6 +22,14 @@ as a BLAS syrk, so A stays exactly symmetric. Sigma_n is computed when
 read and a read never changes A, so the state and its snapshots depend
 only on the observations, not on when anyone looked. Only a new
 observation moves the state: n and Sigma_n are read-only.
+
+A block steps K streams at once. Its arrays carry one leading stream
+axis: iterate, average and W are (K, d), A is (K, d, d) and the pending
+rows are (K, FOLD_ROWS, d). The schedule is one Python float per n,
+shared by all K streams, and every array operation of a step is either
+elementwise or one R'R product per stream, so each stream of a block
+holds bit for bit the state of that stream stepped alone. A block is
+read through views(block), one single-stream state per stream.
 """
 
 from __future__ import annotations
@@ -71,9 +79,9 @@ class EstimatorState:
         self.residual_acc = residual_acc
         self.params = params
         self._a = a
-        self._pending = rows.shape[0]
-        self._rows = np.zeros((FOLD_ROWS, iterate.shape[0]))
-        self._rows[:self._pending] = rows
+        self._pending = rows.shape[-2]
+        self._rows = np.zeros(iterate.shape[:-1] + (FOLD_ROWS, iterate.shape[-1]))
+        self._rows[..., :self._pending, :] = rows
 
     @property
     def n(self) -> int:
@@ -95,15 +103,20 @@ def init(m_init, params: StepParams) -> EstimatorState:
     """Create a state at n=1 from the initial point.
 
     The average equals the single iterate, so the residual accumulator and
-    the covariance estimate both start at zero.
+    the covariance estimate both start at zero. An m_init of shape (K, d)
+    makes a block of K streams starting at its rows; any other shape is
+    taken as one point.
     """
     schedule.validate(params)
-    point = np.array(m_init, dtype=float).reshape(-1)
+    point = np.array(m_init, dtype=float)
+    if point.ndim != 2:
+        point = point.reshape(-1)
     if not np.isfinite(point).all():
         raise NumericError("initial point contains non-finite values")
-    d = point.shape[0]
-    return EstimatorState(1, point.copy(), point.copy(), np.zeros(d),
-                          np.zeros((d, d)), np.zeros((0, d)), params)
+    d = point.shape[-1]
+    return EstimatorState(1, point.copy(), point.copy(), np.zeros(point.shape),
+                          np.zeros(point.shape + (d,)), np.zeros(point.shape[:-1] + (0, d)),
+                          params)
 
 
 def step(state: EstimatorState, gradient) -> EstimatorState:
@@ -117,6 +130,8 @@ def step(state: EstimatorState, gradient) -> EstimatorState:
     The step carries it out in deferred form: it writes one scaled row
     of W into the pending buffer, and when n+1 is a multiple of FOLD_ROWS
     it folds the buffer into A (see the module docstring).
+
+    For a block, gradient is (K, d): row k is the gradient of stream k.
     """
     grad = np.asarray(gradient, dtype=float)
     if grad.shape != state.iterate.shape:
@@ -136,16 +151,43 @@ def step(state: EstimatorState, gradient) -> EstimatorState:
 
     gain = (1.0 - params.delta) * float(n + 1) ** -(params.delta + params.s)
     pending = state._pending
-    np.multiply(state.residual_acc, math.sqrt(gain), out=state._rows[pending])
+    np.multiply(state.residual_acc, math.sqrt(gain), out=state._rows[..., pending, :])
     pending += 1
     n += 1
     if n % FOLD_ROWS == 0:
-        rows = state._rows[:pending]
-        state._a += rows.T @ rows
+        rows = state._rows[..., :pending, :]
+        state._a += np.swapaxes(rows, -1, -2) @ rows
         pending = 0
     state._pending = pending
     state._n = n
     return state
+
+
+class _StreamView(EstimatorState):
+    """Stream k of a block: read-only views of its arrays, at the block's n."""
+
+    __slots__ = ("_block",)
+    _n = property(lambda self: self._block._n)
+    _pending = property(lambda self: self._block._pending)
+
+    def __init__(self, block: EstimatorState, k: int):
+        self._block = block
+        self.params = block.params
+        arrays = [arr[k] for arr in (block.iterate, block.average, block.residual_acc,
+                                     block._a, block._rows)]
+        for arr in arrays:
+            arr.flags.writeable = False
+        self.iterate, self.average, self.residual_acc, self._a, self._rows = arrays
+
+
+def views(block: EstimatorState) -> list[EstimatorState]:
+    """One single-stream state per stream of a block, sharing its arrays.
+
+    A view always shows its stream as the block now stands, so views made
+    once serve every later read: covariance, merge and snapshot take them
+    like any state. They are read-only; step the block, not a view.
+    """
+    return [_StreamView(block, k) for k in range(block.iterate.shape[0])]
 
 
 def merge(states, weights=None) -> np.ndarray:

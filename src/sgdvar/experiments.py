@@ -1,8 +1,9 @@
 """Experiment runner: one problem table, one runner loop, output files.
 
 PROBLEMS defines each problem once: its streams, gradient and known
-truths. run() opens one stream per split and replication and steps the
-splits in lock step. Synthetic split p of replication r draws from its own
+truths. run() opens one stream per split and replication and steps all
+streams of a group of replications in lock step, as one estimator block.
+Synthetic split p of replication r draws from its own
 substream of (seed, r, p), so runs are bit-reproducible and records do
 not depend on execution order; the splits of a CSV run share the file's
 row iterator, which deals row i to split i mod splits. Indices follow the
@@ -31,6 +32,10 @@ FEATURE_LAWS = ("standard_normal", "uniform_cube")
 
 # p-value cutoff used for the KS pass fractions reported in summaries.
 KS_PASS_LEVEL = 0.05
+
+# Most floats of estimator state that one group of lock-stepped
+# replications may hold (32 MiB); a replication that needs more runs alone.
+GROUP_FLOATS = 2**22
 
 
 class ConfigError(ValueError):
@@ -87,7 +92,6 @@ class RunResult:
     residuals: dict[int, list[tuple[int, int, float, float]]]
     skipped_singularities: int
     total_wall_ms: float
-    per_replication_ms: list[float]
 
 
 def default_checkpoints(n_total: int, splits: int, points_per_decade: int) -> list[int]:
@@ -112,12 +116,14 @@ def _standard_schedule(params: StepParams) -> bool:
 
 # Scalar RunConfig fields by the type they must hold; dim and input_path
 # may also be None. Checked before any of them is compared or looked up.
+# A bool only counts as a bool, not as the integer or number it also is.
 _FIELD_TYPES = (
     ("an integer", numbers.Integral, ("dim", "n_total", "seed", "replications", "splits",
                                       "points_per_decade", "label_column")),
     ("a number", numbers.Real, ("level",)),
     ("a string", str, ("problem", "feature_law", "input_path", "output_path",
                        "output_format", "region")),
+    ("true or false", bool, ("has_header", "remap_zero_one", "residuals")),
 )
 
 
@@ -126,7 +132,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     for kind, cls, names in _FIELD_TYPES:
         for name in names:
             value = getattr(config, name)
-            wrong = isinstance(value, bool) or not isinstance(value, cls)
+            wrong = isinstance(value, bool) != (cls is bool) or not isinstance(value, cls)
             if wrong and not (value is None and name in ("dim", "input_path")):
                 raise ConfigError(f"{name} must be {kind}, got {value!r}")
     problem = PROBLEMS.get(config.problem)
@@ -315,27 +321,48 @@ PROBLEMS = {
 }
 
 
-def _advance(config: RunConfig, states, streams, target: int, gradient) -> int:
-    """Step every split to iterate index target; returns the skipped count.
+def _groups(config: RunConfig, problem: Problem):
+    """Yield (replications, streams) for each group of lock-stepped replications.
 
-    Each round gives one observation to each split in split order, so splits
-    sharing one iterator get item i dealt to split i mod splits. A split skips
-    a singular observation and takes the next one from its stream in its turn.
+    A group holds as many replications as fit in GROUP_FLOATS of state, and
+    at least one; its streams are listed replication by replication, each in
+    split order.
+    """
+    rep = 0
+    while rep < config.replications:
+        streams = problem.open(config, rep)  # fixes config.dim of a CSV run
+        d = config.dim
+        per_rep = config.splits * d * (d + estimator.FOLD_ROWS + 3)
+        reps = range(rep, min(config.replications, rep + max(1, GROUP_FLOATS // per_rep)))
+        for r in reps[1:]:
+            streams += problem.open(config, r)
+        yield reps, streams
+        rep = reps.stop
+
+
+def _advance(config: RunConfig, block, streams, target: int, gradient) -> int:
+    """Step every stream of block to iterate index target; returns the skipped count.
+
+    Each round gives one observation to each stream in stream order, so
+    splits sharing one iterator get item i dealt to split i mod splits, and
+    then steps the block once on the gathered gradients. A stream skips a
+    singular observation and takes the next one from its stream in its turn.
     """
     skipped = 0
-    pairs = list(zip(states, streams))
-    for _ in range(target - states[0].n):
-        for state, stream in pairs:
+    grads = np.empty_like(block.iterate)
+    turns = list(zip(streams, block.iterate, grads))
+    for _ in range(target - block.n):
+        for k, (stream, iterate, grad) in enumerate(turns):
             for obs in stream:
                 try:
-                    grad = gradient(obs, state.iterate)
+                    grad[:] = gradient(obs, iterate)
                 except problems.Singularity:
                     skipped += 1
                     continue
-                estimator.step(state, grad)
                 break
             else:
-                raise _input_ended(config, sum(st.n - 1 for st in states))
+                raise _input_ended(config, (block.n - 1) * len(turns) + k)
+        estimator.step(block, grads)
     return skipped
 
 
@@ -349,57 +376,57 @@ def run(config: RunConfig) -> RunResult:
     records = []
     residual_rows: dict[int, list] = {cp: [] for cp in config.checkpoints}
     skipped = 0
-    per_rep_ms = []
     t_start = time.perf_counter()
-    for rep in range(config.replications):
-        rep_t0 = time.perf_counter()
-        streams = problem.open(config, rep)
+    for reps, streams in _groups(config, problem):
         d = config.dim
         m_init = config.m_init if config.m_init is not None else np.zeros(d)
-        states = [estimator.init(m_init, config.params) for _ in range(config.splits)]
+        block = estimator.init(np.tile(m_init, (len(streams), 1)), config.params)
+        views = estimator.views(block)
         for cp in config.checkpoints:
-            skipped += _advance(config, states, streams, cp // config.splits, gradient)
-            merged = estimator.merge(states)
-            avg = np.mean([st.average for st in states], axis=0)
-            frob_err_sq = None
-            param_err_sq = None
-            ks_rm = ks_avg = None
-            coverage_hit = None
-            if truth_sigma is not None:
-                frob_err_sq = analysis.frobenius_error(merged, truth_sigma) ** 2
-            if truth_point is not None:
-                diff = avg - truth_point
-                param_err_sq = float(diff @ diff)
-            if ks_ready:
-                solo = states[0]
-                q_rm = analysis.normalize_iterate(
-                    solo.iterate, truth_point, solo.n, d, config.params
-                )
-                q_avg = analysis.normalize_average(solo.average, truth_point, solo.n, d)
-                ks_rm = analysis.ks_normal(q_rm)
-                ks_avg = analysis.ks_normal(q_avg)
-                if config.residuals:
-                    residual_rows[cp].extend(
-                        (rep, i, float(q_rm[i]), float(q_avg[i])) for i in range(d)
+            skipped += _advance(config, block, streams, cp // config.splits, gradient)
+            for j, rep in enumerate(reps):
+                states = views[j * config.splits:(j + 1) * config.splits]
+                merged = estimator.merge(states)
+                avg = np.mean([st.average for st in states], axis=0)
+                frob_err_sq = None
+                param_err_sq = None
+                ks_rm = ks_avg = None
+                coverage_hit = None
+                if truth_sigma is not None:
+                    frob_err_sq = analysis.frobenius_error(merged, truth_sigma) ** 2
+                if truth_point is not None:
+                    diff = avg - truth_point
+                    param_err_sq = float(diff @ diff)
+                if ks_ready:
+                    solo = states[0]
+                    q_rm = analysis.normalize_iterate(
+                        solo.iterate, truth_point, solo.n, d, config.params
                     )
-            if problem.coverage:
-                # the mean of split averages obeys the same limit law as
-                # one full-stream average at the pooled count cp
-                region = analysis.confidence_region(
-                    avg, merged, cp, config.level, spherical=config.region == "ball"
-                )
-                coverage_hit = bool(region.test(truth_point))
-            records.append(MetricsRecord(
-                n=cp,
-                replication=rep,
-                frob_err_sq=frob_err_sq,
-                param_err_sq=param_err_sq,
-                ks_rm=ks_rm,
-                ks_avg=ks_avg,
-                coverage_hit=coverage_hit,
-            ))
-        per_rep_ms.append((time.perf_counter() - rep_t0) * 1e3)
+                    q_avg = analysis.normalize_average(solo.average, truth_point, solo.n, d)
+                    ks_rm = analysis.ks_normal(q_rm)
+                    ks_avg = analysis.ks_normal(q_avg)
+                    if config.residuals:
+                        residual_rows[cp].extend(
+                            (rep, i, float(q_rm[i]), float(q_avg[i])) for i in range(d)
+                        )
+                if problem.coverage:
+                    # the mean of split averages obeys the same limit law as
+                    # one full-stream average at the pooled count cp
+                    region = analysis.confidence_region(
+                        avg, merged, cp, config.level, spherical=config.region == "ball"
+                    )
+                    coverage_hit = bool(region.test(truth_point))
+                records.append(MetricsRecord(
+                    n=cp,
+                    replication=rep,
+                    frob_err_sq=frob_err_sq,
+                    param_err_sq=param_err_sq,
+                    ks_rm=ks_rm,
+                    ks_avg=ks_avg,
+                    coverage_hit=coverage_hit,
+                ))
     total_ms = (time.perf_counter() - t_start) * 1e3
+    records.sort(key=lambda r: (r.replication, r.n))
     summary = _summarize(records, config)
     if problem.final_state:
         summary["final_average"] = [float(v) for v in avg]
@@ -410,7 +437,6 @@ def run(config: RunConfig) -> RunResult:
         residuals=residual_rows if config.residuals else {},
         skipped_singularities=skipped,
         total_wall_ms=total_ms,
-        per_replication_ms=per_rep_ms,
     )
 
 
@@ -543,10 +569,7 @@ def emit(result: RunResult, config: RunConfig, out_dir: str | None = None) -> li
         "config": _config_dict(config),
         "summary": result.summary,
         "skipped_singularities": result.skipped_singularities,
-        "timing": {
-            "total_ms": result.total_wall_ms,
-            "per_replication_ms": result.per_replication_ms,
-        },
+        "timing": {"total_ms": result.total_wall_ms},
     }
     meta_path = out / "meta.json"
     meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")

@@ -83,9 +83,12 @@ def quantile_gradient(obs: Observation, h, v=None) -> np.ndarray:
     the observation is within 1e-12 * (1 + ||h||) of the query point;
     continuous laws never hit this, but files may contain duplicates.
     """
+    # sqrt(x.dot(x)) is what np.linalg.norm computes for a float vector,
+    # without its dispatch cost
     diff = obs.features - h
-    norm = float(np.linalg.norm(diff))
-    if norm < 1e-12 * (1.0 + float(np.linalg.norm(h))):
+    h = np.asarray(h, dtype=float)
+    norm = math.sqrt(float(diff.dot(diff)))
+    if norm < 1e-12 * (1.0 + math.sqrt(float(h.dot(h)))):
         raise Singularity("observation coincides with the current point")
     grad = diff / -norm
     if v is not None:
@@ -143,7 +146,7 @@ def sphere_sampler(d: int, seed: int, path: tuple[int, ...] = ()):
     source = RandomSource(seed, path)
     while True:
         z = source.normals(d)
-        norm = float(np.linalg.norm(z))
+        norm = math.sqrt(float(z.dot(z)))
         if norm < 1e-12:  # never observed in practice; redraw to stay safe
             continue
         yield Observation(z / norm)

@@ -5,8 +5,9 @@ rows and builds Sigma_n on read. These tests pin that form against the
 plain rank-one recursion, check that reads are exact and side-effect
 free, that snapshots resume bit-exactly at every pending count, that
 restore refuses invalid and version 1 blobs, that n and Sigma_n are
-read-only, and that the triangular solve of the confidence ellipsoid
-matches a dense solve.
+read-only, that a block of K streams holds bit for bit the states of K
+single streams, and that the triangular solve of the confidence
+ellipsoid matches a dense solve.
 """
 
 import struct
@@ -129,6 +130,55 @@ def test_hand_packed_v1_blob_is_rejected(params, d, seed, n):
     root = gen.normal(size=(d, d))
     with pytest.raises(ValueError, match="^unsupported snapshot version 1$"):
         estimator.restore(v1_blob(n, params, iterate, average, acc, root @ root.T))
+
+
+@SETTINGS
+@given(admissible_params(), st.integers(1, 6), st.integers(1, 6), seeds,
+       st.integers(2 * FOLD_ROWS, 4 * FOLD_ROWS))
+def test_block_equals_single_streams_bit_for_bit(params, k, d, seed, steps):
+    gen = np.random.default_rng(seed)
+    m_init = gen.normal(size=(k, d))
+    grads = gen.normal(size=(steps, k, d))
+    block = estimator.init(m_init, params)
+    singles = [estimator.init(m_init[i], params) for i in range(k)]
+    views = estimator.views(block)
+    for grad in grads:
+        estimator.step(block, grad)
+        for i, single in enumerate(singles):
+            estimator.step(single, grad[i])
+    for i, (view, single) in enumerate(zip(views, singles)):
+        for name in ("iterate", "average", "residual_acc"):
+            assert getattr(block, name)[i].tobytes() == getattr(single, name).tobytes()
+            assert getattr(view, name).tobytes() == getattr(single, name).tobytes()
+        assert view.n == single.n == steps + 1
+        assert view.covariance.tobytes() == single.covariance.tobytes()
+        assert estimator.snapshot(view) == estimator.snapshot(single)
+
+
+@pytest.mark.parametrize("k, pending, d", [(1, FOLD_ROWS, 1), (3, FOLD_ROWS - 1, 5),
+                                           (50, FOLD_ROWS, 10), (7, FOLD_ROWS, 20)])
+def test_stacked_fold_equals_per_slice_fold(k, pending, d):
+    # the batched R'R must run the per-slice syrk; this depends on the BLAS
+    buffer = np.random.default_rng(k * d).normal(size=(k, FOLD_ROWS, d))
+    rows = buffer[:, :pending, :]
+    stacked = np.swapaxes(rows, -1, -2) @ rows
+    for i in range(k):
+        assert stacked[i].tobytes() == (rows[i].T @ rows[i]).tobytes()
+        assert np.array_equal(stacked[i], stacked[i].T)
+
+
+def test_views_follow_the_block_and_refuse_a_step():
+    block = estimator.init(np.zeros((2, 3)), StepParams())
+    views = estimator.views(block)
+    gen = np.random.default_rng(5)
+    for _ in range(FOLD_ROWS + 3):
+        estimator.step(block, gen.normal(size=(2, 3)))
+    assert [v.n for v in views] == [FOLD_ROWS + 4] * 2
+    before = estimator.snapshot(views[0])
+    with pytest.raises(ValueError, match="read-only"):
+        estimator.step(views[0], np.ones(3))
+    assert estimator.snapshot(views[0]) == before
+    assert block.n == FOLD_ROWS + 4
 
 
 def test_n_and_covariance_are_read_only():

@@ -215,6 +215,64 @@ def test_emitted_files_are_byte_identical_across_reruns(tmp_path):
     assert meta_a == meta_b
 
 
+def emitted_bytes(config, out):
+    """Every output file's bytes, meta.json without its wall-clock timing."""
+    experiments.emit(experiments.run(config), config, out_dir=str(out))
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    meta = json.loads(files.pop("meta.json"))
+    assert list(meta.pop("timing")) == ["total_ms"]
+    return files, meta
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(replications=3, residuals=True, checkpoints=[50, 100], n_total=100),
+    dict(problem="logistic_synthetic", dim=None, theta_star=np.array([0.3, -0.2, 0.1]),
+         replications=3, splits=2, n_total=400, checkpoints=[100, 400]),
+], ids=["sphere_residuals", "logistic_splits"])
+def test_one_replication_per_group_gives_the_same_bytes(tmp_path, monkeypatch, overrides):
+    together = emitted_bytes(sphere_config(**overrides), tmp_path / "together")
+    monkeypatch.setattr(experiments, "GROUP_FLOATS", 1)
+    alone = emitted_bytes(sphere_config(**overrides), tmp_path / "alone")
+    assert alone == together
+
+
+@pytest.mark.parametrize("overrides, groups", [
+    # acceptance 7 and acceptance 3 each run as one block
+    (dict(problem="logistic_synthetic", dim=None, theta_star=np.zeros(5),
+          replications=200, splits=10, n_total=50_000), 1),
+    (dict(dim=10, replications=50, n_total=100_000), 1),
+    (dict(dim=300, replications=2000, n_total=1000), 47),
+], ids=["acceptance_7", "acceptance_3", "d300_r2000"])
+def test_replication_groups_bound_the_state(overrides, groups):
+    config = experiments.validate_config(sphere_config(**overrides, checkpoints=None))
+    problem = experiments.PROBLEMS[config.problem]
+    per_stream = config.dim * (config.dim + estimator.FOLD_ROWS + 3)
+    seen = []
+    for reps, streams in experiments._groups(config, problem):
+        assert len(streams) == len(reps) * config.splits
+        assert len(streams) * per_stream <= experiments.GROUP_FLOATS
+        seen.append(reps)
+    assert len(seen) == groups
+    assert [rep for reps in seen for rep in reps] == list(range(config.replications))
+
+
+def test_run_hands_merge_the_same_states_at_every_checkpoint(monkeypatch):
+    merge = estimator.merge
+    calls = []
+
+    def recording_merge(states):
+        calls.append([id(st) for st in states])
+        return merge(states)
+
+    monkeypatch.setattr(estimator, "merge", recording_merge)
+    config = sphere_config(replications=3, splits=2, checkpoints=[50, 100, 200])
+    experiments.run(config)
+    assert len(calls) == 3 * 3 and all(len(ids) == 2 for ids in calls)
+    per_checkpoint = [sorted(sum(calls[i:i + 3], [])) for i in range(0, 9, 3)]
+    assert len(set(per_checkpoint[0])) == 3 * 2
+    assert per_checkpoint[0] == per_checkpoint[1] == per_checkpoint[2]
+
+
 def test_metrics_jsonl_rows_parse_and_are_sorted(tmp_path):
     config = sphere_config(replications=3, checkpoints=[100, 200])
     result = experiments.run(config)
@@ -456,6 +514,12 @@ CONFIG_HOLES = {
     "label_column_null": ([], {"problem": "logistic_csv", "dim": None,
                                "input_path": "data.csv", "label_column": None},
                           "label_column"),
+    "residuals_string": ([], {"residuals": "no"}, "residuals"),
+    "has_header_string": ([], {"problem": "logistic_csv", "dim": None,
+                               "input_path": "data.csv", "has_header": "no"}, "has_header"),
+    "remap_zero_one_number": ([], {"problem": "logistic_csv", "dim": None,
+                                   "input_path": "data.csv", "remap_zero_one": 1},
+                              "remap_zero_one"),
 }
 
 
